@@ -4,7 +4,8 @@
 // zipf-skewed key popularity (the paper's skewed workloads) and reports
 //   * ops/sec per thread count and the speedup over one worker,
 //   * the live cache hit-rate, compared with the deterministic
-//     single-threaded AsyncInvoker on the same request sequence.
+//     single-threaded executor (one worker, one shard, FetchComp only) on
+//     the same request sequence.
 // Emits machine-readable BENCH_parallel_api.json so the perf trajectory
 // is tracked across PRs.
 #include <algorithm>
@@ -128,9 +129,9 @@ double SingleThreadedHitRate(ParallelStore* store,
   LocalDataService raw(store);
   ServiceLatencyModel latency;
   LatencyPaddedService service(&raw, latency);
-  AsyncInvoker::Options opt;
-  opt.bandwidth_bytes_per_sec = 125e6;
-  AsyncInvoker invoker(&service, MixUdf(), opt);
+  ParallelInvokerOptions opt = InvokerOptions(/*threads=*/1);
+  opt.num_shards = 1;
+  ParallelInvoker invoker(&service, MixUdf(), opt);
   for (Key key : trace) {
     auto r = invoker.FetchComp(key, "p");
     if (!r.ok()) std::exit(1);

@@ -1,16 +1,18 @@
 // Figure 10 of the paper, as real code: entity annotation written against
 // the preMap/map API (submitComp / fetchComp), running in-process over real
-// string payloads — no simulator involved. The AsyncInvoker routes each
-// spot through the live ski-rental optimizer: hot tokens' models end up
-// cached and classified locally; rare tokens are delegated to the store.
+// string payloads — no simulator involved. A one-worker, one-shard
+// ParallelInvoker routes each spot through the live ski-rental optimizer:
+// hot tokens' models end up cached and classified locally; rare tokens are
+// delegated to the store.
 //
 //   $ ./build/examples/premap_api
 #include <cstdio>
 #include <string>
 #include <vector>
 
-#include "joinopt/engine/async_api.h"
 #include "joinopt/common/random.h"
+#include "joinopt/engine/async_api.h"
+#include "joinopt/engine/parallel_invoker.h"
 
 using namespace joinopt;
 
@@ -52,7 +54,10 @@ int main() {
     store.Put(token, item);
   }
   LocalDataService service(&store);
-  AsyncInvoker invoker(&service, ClassifyRecord);
+  ParallelInvokerOptions options;
+  options.num_threads = 1;
+  options.num_shards = 1;
+  ParallelInvoker invoker(&service, ClassifyRecord, options);
 
   // A document stream with Zipf-distributed token mentions.
   ZipfDistribution zipf(2000, 1.2);
@@ -77,7 +82,7 @@ int main() {
     }
   }
 
-  const AsyncInvokerStats& s = invoker.stats();
+  ParallelInvokerStats s = invoker.stats();
   std::printf("annotated %lld spots across %zu documents\n",
               static_cast<long long>(annotated), documents.size());
   std::printf("  served from local cache : %lld\n",

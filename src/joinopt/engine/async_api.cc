@@ -1,8 +1,6 @@
 #include "joinopt/engine/async_api.h"
 
-#include "joinopt/common/hash.h"
-#include "joinopt/engine/plan_exec.h"
-#include "joinopt/loadbalance/node_load_view.h"
+#include <string>
 
 namespace joinopt {
 
@@ -31,113 +29,6 @@ StatusOr<DataService::ItemStat> LocalDataService::Stat(Key key) const {
     return Status::NotFound("key " + std::to_string(key));
   }
   return ItemStat{item->size_bytes, item->version};
-}
-
-AsyncInvoker::AsyncInvoker(DataService* service, UserFn fn,
-                           const Options& options)
-    : service_(service),
-      fn_(std::move(fn)),
-      options_(options),
-      engine_(std::make_unique<DecisionEngine>(options.decision)),
-      results_(options.max_unclaimed_results) {}
-
-AsyncInvoker::~AsyncInvoker() = default;
-
-void AsyncInvoker::SubmitComp(Key key, std::string params) {
-  ++stats_.submitted;
-  auto result = Run(key, params);
-  if (result.ok()) {
-    results_.Push(PlanRequestId(key, params), std::move(result).value());
-    stats_.dropped_results = results_.dropped();
-  }
-  // Errors are re-surfaced by FetchComp's on-demand retry.
-}
-
-StatusOr<std::string> AsyncInvoker::FetchComp(Key key,
-                                              const std::string& params) {
-  if (auto claimed = results_.Claim(PlanRequestId(key, params))) {
-    return std::move(*claimed);
-  }
-  // Not prefetched (or it failed, or the bound dropped it): blocking path.
-  return Run(key, params);
-}
-
-StatusOr<std::string> AsyncInvoker::Run(Key key, const std::string& params) {
-  if (++runs_since_trim_ >= 256) {
-    runs_since_trim_ = 0;
-    TrimEvicted();
-  }
-  NodeId owner = service_->OwnerOf(key);
-  engine_->cost_model().SetBandwidth(owner, options_.bandwidth_bytes_per_sec);
-  Decision decision = engine_->Decide(key, owner);
-  if (options_.load_view != nullptr && ++runs_since_load_push_ >= 64) {
-    runs_since_load_push_ = 0;
-    options_.load_view->ObserveCostEstimates(
-        owner, engine_->cost_model().TCompute(owner),
-        engine_->cost_model().TFetch(owner));
-  }
-
-  switch (decision.route) {
-    case Route::kLocalMemoryHit:
-    case Route::kLocalDiskHit: {
-      auto vit = values_.find(key);
-      if (vit == values_.end()) {
-        // The engine believes the key is cached but the payload is gone
-        // (external invalidation race): fall back to delegation.
-        break;
-      }
-      ++stats_.served_from_cache;
-      TimedResult timed = TimedCompute(fn_, key, params, vit->second.value);
-      engine_->ObserveLocalCompute(timed.elapsed);
-      return std::move(timed.value);
-    }
-    case Route::kFetchCacheMemory:
-    case Route::kFetchCacheDisk: {
-      auto fetched = service_->Fetch(key);
-      if (!fetched.ok()) return fetched.status();
-      engine_->OnValueFetched(key, decision.route,
-                              static_cast<double>(fetched->value.size()),
-                              fetched->version);
-      ++stats_.fetched_then_computed;
-      TimedResult timed = TimedCompute(fn_, key, params, fetched->value);
-      engine_->ObserveLocalCompute(timed.elapsed);
-      values_[key] = CachedValue{std::move(fetched)->value, 0};
-      return std::move(timed.value);
-    }
-    case Route::kComputeAtData:
-      break;
-  }
-
-  // Compute request: delegate to the service and learn the cost
-  // parameters from the exchange (Section 4.3's piggybacking, here
-  // measured directly).
-  ++stats_.delegated;
-  double t0 = PlanNowSeconds();
-  auto result = service_->Execute(key, params, fn_);
-  double elapsed = PlanNowSeconds() - t0;
-  if (!result.ok()) return result.status();
-  // Learn sv/version for future ski-rental decisions (piggybacked stats).
-  auto stat = service_->Stat(key);
-  if (stat.ok()) {
-    ApplyDelegationLearning(*engine_, key, owner, elapsed, stat->size_bytes,
-                            stat->version);
-  }
-  return result;
-}
-
-void AsyncInvoker::TrimEvicted() {
-  for (auto it = values_.begin(); it != values_.end();) {
-    if (engine_->cache().Peek(it->first) == CacheTier::kNone) {
-      it = values_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void AsyncInvoker::OnUpdate(Key key, uint64_t new_version) {
-  engine_->OnUpdateNotification(key, new_version);
-  values_.erase(key);
 }
 
 }  // namespace joinopt

@@ -1,40 +1,27 @@
-// The Section 7 programming API as a real, in-process executor (not the
-// simulator): the <preMap, map> pair of Figure 10 with submitComp /
-// fetchComp calls, a prefetch queue, and a result hash-map (Figure 4).
-//
-// A user registers f'(k, p, v); submitComp(k, p) enqueues a prefetch
-// request; fetchComp(k, p) returns the computed value, executing whatever
-// the optimizer decided: local computation on a cached value, a "data
-// request" (fetch the value from the service, cache it per Algorithm 1,
-// compute locally), or a "compute request" (delegate to the service — the
-// coprocessor path). Costs are measured with real clocks and fed to the
-// same DecisionEngine the simulator uses, so the ski-rental caching policy
-// is live on real payloads.
+// The data side of the Section 7 programming API: the DataService a
+// preMap/map executor (ParallelInvoker) talks to. Each call the executor
+// makes is one of the optimizer's plans: a "data request" (fetch the value
+// to cache it per Algorithm 1 and compute locally) or a "compute request"
+// (delegate to the service — the coprocessor path).
 //
 // The provided LocalDataService backs the API with an in-process
-// ParallelStore; a deployment would implement DataService over HBase or any
-// store with server-side function shipping.
+// ParallelStore, LogStoreDataService with a LogStructuredStore; a
+// deployment would implement DataService over HBase or any store with
+// server-side function shipping (net/ and cluster/ do so over sockets).
 #ifndef JOINOPT_ENGINE_ASYNC_API_H_
 #define JOINOPT_ENGINE_ASYNC_API_H_
 
 #include <atomic>
-#include <functional>
-#include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "joinopt/common/status.h"
 #include "joinopt/engine/async_api_fwd.h"
-#include "joinopt/engine/plan_exec.h"
-#include "joinopt/skirental/decision_engine.h"
 #include "joinopt/store/log_store.h"
 #include "joinopt/store/parallel_store.h"
 
 namespace joinopt {
-
-class NodeLoadView;
 
 /// Remote side of the API: point fetches and server-side execution.
 ///
@@ -187,84 +174,6 @@ class LogStoreDataService : public DataService {
   std::atomic<int64_t> fetches_{0};
   std::atomic<int64_t> executes_{0};
   mutable std::atomic<int64_t> stats_{0};
-};
-
-struct AsyncInvokerStats {
-  int64_t submitted = 0;
-  int64_t served_from_cache = 0;
-  int64_t fetched_then_computed = 0;
-  int64_t delegated = 0;  // compute requests
-  /// Unclaimed prefetched results dropped by the result-map bound.
-  int64_t dropped_results = 0;
-};
-
-struct AsyncInvokerOptions {
-  DecisionEngineConfig decision;
-  /// Used for the cost model's network terms; a logical constant here
-  /// since the local service has no real network.
-  double bandwidth_bytes_per_sec = 125e6;
-  /// Bound on unclaimed prefetched results (SubmitComp entries never
-  /// claimed by FetchComp). When exceeded, the oldest half (by submission
-  /// order) is dropped. 0 = unbounded (the pre-bound behaviour).
-  size_t max_unclaimed_results = 1 << 16;
-  /// Optional shared load view (DESIGN.md §15): the invoker periodically
-  /// pushes the cost model's smoothed per-node tCompute/tFetch estimates
-  /// into it, giving replica selection a latency prior before any direct
-  /// observation exists. Null disables the feed.
-  NodeLoadView* load_view = nullptr;
-};
-
-/// The preMap/map executor. Deterministic single-threaded implementation:
-/// SubmitComp records the request and runs the optimizer's plan eagerly;
-/// FetchComp returns the memoized result (or computes on demand for
-/// requests that were never submitted — the blocking fallback).
-class AsyncInvoker {
- public:
-  using Options = AsyncInvokerOptions;
-
-  AsyncInvoker(DataService* service, UserFn fn,
-               const Options& options = Options());
-  ~AsyncInvoker();
-
-  /// preMap: announce that (key, params) will be needed (Figure 10's
-  /// submitComp). Triggers routing, prefetching and caching.
-  void SubmitComp(Key key, std::string params);
-
-  /// map: obtain the computed value (Figure 10's fetchComp).
-  StatusOr<std::string> FetchComp(Key key, const std::string& params);
-
-  /// Invalidate a cached value after a store update (Section 4.2.3).
-  void OnUpdate(Key key, uint64_t new_version);
-
-  const AsyncInvokerStats& stats() const { return stats_; }
-  const DecisionEngine& engine() const { return *engine_; }
-  /// Unclaimed prefetched results currently held.
-  size_t pending_results() const { return results_.size(); }
-
- private:
-  struct CachedValue {
-    std::string value;
-    uint64_t version = 0;
-  };
-
-  /// Executes the optimizer's plan for one request and returns the result.
-  StatusOr<std::string> Run(Key key, const std::string& params);
-  /// Drops payloads whose cache residency the engine has revoked.
-  void TrimEvicted();
-
-  DataService* service_;
-  UserFn fn_;
-  Options options_;
-  std::unique_ptr<DecisionEngine> engine_;
-  /// Real payloads for keys the engine's cache holds (the engine tracks
-  /// sizes/benefits; the bytes live here).
-  std::unordered_map<Key, CachedValue> values_;
-  /// Result hash-map: (key, params) -> FIFO of computed results, bounded
-  /// per options_.max_unclaimed_results.
-  BoundedResultMap results_;
-  AsyncInvokerStats stats_;
-  int64_t runs_since_trim_ = 0;
-  int64_t runs_since_load_push_ = 0;
 };
 
 }  // namespace joinopt

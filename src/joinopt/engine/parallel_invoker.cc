@@ -120,7 +120,7 @@ StatusOr<std::string> ParallelInvoker::FetchComp(Key key,
     }
   }
   // Never submitted (or its prefetch failed / was dropped): run the plan
-  // in the caller, like AsyncInvoker's blocking fallback.
+  // in the caller (the blocking fallback).
   ++stats_.on_demand_runs;
   auto result = ExecutePlan(key, params, /*allow_defer=*/false);
   return std::move(*result);
@@ -427,7 +427,7 @@ void ParallelInvoker::FinishQueued(Shard& shard, uint64_t request_id,
       shard.results.Push(request_id, std::move(result).value());
     }
     // Failures leave no result: FetchComp's on-demand retry re-surfaces
-    // the error, like AsyncInvoker.
+    // the error.
     auto it = shard.pending.find(request_id);
     if (it != shard.pending.end() && --it->second <= 0) {
       shard.pending.erase(it);

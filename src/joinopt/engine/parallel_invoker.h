@@ -1,6 +1,8 @@
-// Multi-threaded preMap/map executor: the Section 7 API running on a real
-// worker pool, overlapping prefetches with computation — the step from the
-// deterministic AsyncInvoker toward a live networked deployment.
+// The preMap/map executor: the Section 7 API (Figure 10's submitComp /
+// fetchComp over Figure 4's result hash-map) running on a real worker pool,
+// overlapping prefetches with computation. Costs are measured with real
+// clocks and fed to the same DecisionEngine the simulator uses, so the
+// ski-rental caching policy is live on real payloads.
 //
 // Design (lock-minimal):
 //  * The DecisionEngine + payload cache are *sharded* by key hash: one
@@ -23,11 +25,12 @@
 //    the same BatchSizer the simulator's Batcher uses, and go out through
 //    DataService::ExecuteBatch (one round trip per batch).
 //
-// Semantics vs AsyncInvoker: results are identical per request, but
-// completion *order* across keys is scheduling-dependent, so cross-key
-// decision sequences (and therefore exact cache contents) are not
-// deterministic. The simulator keeps the deterministic executor for
-// reproducible figures; this one exists to be fast.
+// Determinism: with workers, completion *order* across keys is
+// scheduling-dependent, so cross-key decision sequences (and therefore
+// exact cache contents) are not deterministic. With num_threads = 1 and
+// num_shards = 1, a caller that uses only FetchComp gets the deterministic
+// single-threaded executor: every request runs ExecutePlan inline on the
+// caller's thread against one engine, delegations unbatched.
 #ifndef JOINOPT_ENGINE_PARALLEL_INVOKER_H_
 #define JOINOPT_ENGINE_PARALLEL_INVOKER_H_
 
@@ -52,6 +55,8 @@
 
 namespace joinopt {
 
+class NodeLoadView;
+
 struct ParallelInvokerOptions {
   DecisionEngineConfig decision;
   /// Modeled bandwidth for the cost model's network terms.
@@ -65,7 +70,7 @@ struct ParallelInvokerOptions {
   /// Bounded prefetch queue capacity (backpressure bound).
   size_t queue_capacity = 1024;
   /// Bound on unclaimed prefetched results, applied per shard after
-  /// dividing by the shard count (same policy as AsyncInvoker's).
+  /// dividing by the shard count (BoundedResultMap's age sweep).
   size_t max_unclaimed_results = 1 << 16;
   /// Delegation batching: static batch size per destination data node...
   int delegation_batch_size = 8;

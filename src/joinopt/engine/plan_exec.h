@@ -1,11 +1,10 @@
-// Plan-execution building blocks shared by the Section 7 executors
-// (the deterministic AsyncInvoker and the multi-threaded ParallelInvoker).
-// Both run the same optimizer plan per request — local compute on a cached
-// payload, data request (fetch + cache + compute), or compute request
-// (delegate) — but interleave locking differently, so the shared pieces are
-// factored as small lock-free helpers: request identity, timed UDF
-// execution, delegation + piggybacked cost learning, and the bounded
-// result map that backs submitComp/fetchComp.
+// Plan-execution building blocks of the Section 7 executor
+// (ParallelInvoker). Each request runs one optimizer plan — local compute
+// on a cached payload, data request (fetch + cache + compute), or compute
+// request (delegate) — with the executor's locks released around service
+// calls, so the pieces are factored as small lock-free helpers: request
+// identity, timed UDF execution, delegation + piggybacked cost learning,
+// and the bounded result map that backs submitComp/fetchComp.
 #ifndef JOINOPT_ENGINE_PLAN_EXEC_H_
 #define JOINOPT_ENGINE_PLAN_EXEC_H_
 

@@ -145,9 +145,9 @@ StatusOr<std::string> WireReader::GetString() {
 }
 
 void AppendFrameHeader(std::string* out, MsgType type, uint32_t seq,
-                       uint32_t body_len, uint8_t version) {
+                       uint32_t body_len) {
   PutU32(out, kFrameMagic);
-  PutU8(out, version);
+  PutU8(out, kWireVersion);
   PutU8(out, static_cast<uint8_t>(type));
   PutU16(out, 0);  // flags
   PutU32(out, seq);
@@ -178,14 +178,13 @@ StatusOr<FrameHeader> ParseFrameHeader(std::string_view buf,
 
 StatusOr<std::string> BuildFrame(MsgType type, uint32_t seq,
                                  std::string_view body,
-                                 size_t max_frame_bytes, uint8_t version) {
+                                 size_t max_frame_bytes) {
   if (body.size() > max_frame_bytes) {
     return Status::ResourceExhausted("wire: frame body exceeds limit");
   }
   std::string out;
   out.reserve(kFrameHeaderBytes + body.size());
-  AppendFrameHeader(&out, type, seq, static_cast<uint32_t>(body.size()),
-                    version);
+  AppendFrameHeader(&out, type, seq, static_cast<uint32_t>(body.size()));
   out.append(body.data(), body.size());
   return out;
 }
@@ -219,9 +218,12 @@ StatusOr<ExecuteRequest> DecodeExecuteRequest(std::string_view body) {
   return req;
 }
 
-std::string EncodeBatchRequest(
+std::string EncodeTaggedBatchRequest(
+    uint64_t client_id, uint64_t batch_seq,
     const std::vector<std::pair<Key, std::string>>& items) {
   std::string out;
+  PutU64(&out, client_id);
+  PutU64(&out, batch_seq);
   PutU32(&out, static_cast<uint32_t>(items.size()));
   for (const auto& [key, params] : items) {
     PutU64(&out, key);
@@ -230,42 +232,24 @@ std::string EncodeBatchRequest(
   return out;
 }
 
-StatusOr<std::vector<std::pair<Key, std::string>>> DecodeBatchRequest(
-    std::string_view body) {
+StatusOr<TaggedBatchRequest> DecodeTaggedBatchRequest(std::string_view body) {
   WireReader r(body);
+  TaggedBatchRequest req;
+  JOINOPT_ASSIGN_OR_RETURN(req.client_id, r.GetU64());
+  JOINOPT_ASSIGN_OR_RETURN(req.batch_seq, r.GetU64());
   JOINOPT_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
   // Each item is at least 12 bytes (key + empty string); a count implying
   // more items than bytes is a corrupt frame, not an allocation request.
   if (static_cast<size_t>(count) * 12 > r.remaining()) {
     return BadFrame("batch count exceeds frame");
   }
-  std::vector<std::pair<Key, std::string>> items;
-  items.reserve(count);
+  req.items.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
     JOINOPT_ASSIGN_OR_RETURN(Key key, r.GetU64());
     JOINOPT_ASSIGN_OR_RETURN(std::string params, r.GetString());
-    items.emplace_back(key, std::move(params));
+    req.items.emplace_back(key, std::move(params));
   }
   if (!r.Done()) return BadFrame("trailing bytes in batch request");
-  return items;
-}
-
-std::string EncodeTaggedBatchRequest(
-    uint64_t client_id, uint64_t batch_seq,
-    const std::vector<std::pair<Key, std::string>>& items) {
-  std::string out;
-  PutU64(&out, client_id);
-  PutU64(&out, batch_seq);
-  out += EncodeBatchRequest(items);
-  return out;
-}
-
-StatusOr<TaggedBatchRequest> DecodeTaggedBatchRequest(std::string_view body) {
-  WireReader r(body);
-  TaggedBatchRequest req;
-  JOINOPT_ASSIGN_OR_RETURN(req.client_id, r.GetU64());
-  JOINOPT_ASSIGN_OR_RETURN(req.batch_seq, r.GetU64());
-  JOINOPT_ASSIGN_OR_RETURN(req.items, DecodeBatchRequest(body.substr(16)));
   return req;
 }
 

@@ -22,18 +22,18 @@
 // over TCP.
 //
 // Compatibility rule: the header layout (magic..body_len) is frozen; any
-// change to a body encoding bumps kWireVersion. A server receiving a
-// version it cannot speak answers with an in-band FailedPrecondition error
-// (so old clients get a readable error, not a hang) and closes the
-// connection.
+// change to a body encoding bumps kWireVersion, and a server speaks exactly
+// one version. A request stamped with any other version gets an in-band
+// FailedPrecondition error (OwnerOf: kInvalidNode), so a mismatched client
+// reads an error instead of hanging, and the connection keeps serving.
+// Subscribe has no error slot in its response: a mismatched Subscribe gets
+// its connection closed.
 //
-// Version 2 (this header) adds the write path — Put, a Subscribe/Notify
-// invalidation stream carrying per-region epoch/sequence numbers, and a
-// tagged ExecuteBatch body prefixed with (client_id, batch_seq) so servers
-// can deduplicate replayed batches for exactly-once delegation. The five
-// v1 verb bodies are byte-identical in v2: a v2 server still accepts v1
-// frames for them and answers with v1-stamped frames (see DESIGN.md §11
-// for the compat table), so v1 readers keep working.
+// Version 2 carries the read verbs, the write path (Put), a
+// Subscribe/Notify invalidation stream with per-region epoch/sequence
+// numbers, the anti-entropy verbs, and an ExecuteBatch body tagged with
+// (client_id, batch_seq) so servers can deduplicate replayed batches for
+// exactly-once delegation.
 //
 // The codec layer is pure (no I/O); sockets live in net/socket.h. See
 // DESIGN.md §10 for the protocol rationale and the errno → Status table.
@@ -53,8 +53,6 @@ namespace joinopt {
 
 inline constexpr uint32_t kFrameMagic = 0x4A4F5054;  // "JOPT"
 inline constexpr uint8_t kWireVersion = 2;
-/// Oldest version a v2 server still serves (the five v1 verbs only).
-inline constexpr uint8_t kMinWireVersion = 1;
 inline constexpr size_t kFrameHeaderBytes = 16;
 /// Default bound on body_len; a peer announcing more is protocol-violating
 /// and the connection is dropped (never trust a length field with memory).
@@ -106,13 +104,14 @@ struct FrameHeader {
   uint32_t body_len = 0;
 };
 
-/// Appends the 16-byte header for a `body_len`-byte body. `version` lets a
-/// v2 server stamp responses to v1 clients with the version they speak.
+/// Appends the 16-byte header (stamped kWireVersion) for a `body_len`-byte
+/// body.
 void AppendFrameHeader(std::string* out, MsgType type, uint32_t seq,
-                       uint32_t body_len, uint8_t version = kWireVersion);
+                       uint32_t body_len);
 
-/// Parses and validates a 16-byte header (magic, version, flags, size
-/// bound). `buf` must hold exactly kFrameHeaderBytes.
+/// Parses and validates a 16-byte header (magic, flags, size bound). The
+/// version is returned unchecked: the server refuses a mismatch in-band.
+/// `buf` must hold exactly kFrameHeaderBytes.
 StatusOr<FrameHeader> ParseFrameHeader(std::string_view buf,
                                        size_t max_frame_bytes);
 
@@ -121,8 +120,7 @@ StatusOr<FrameHeader> ParseFrameHeader(std::string_view buf,
 /// rejected by the peer).
 StatusOr<std::string> BuildFrame(MsgType type, uint32_t seq,
                                  std::string_view body,
-                                 size_t max_frame_bytes,
-                                 uint8_t version = kWireVersion);
+                                 size_t max_frame_bytes);
 
 // ---- primitive append/read helpers (exposed for tests) -------------------
 
@@ -168,16 +166,12 @@ struct ExecuteRequest {
 std::string EncodeExecuteRequest(Key key, std::string_view params);
 StatusOr<ExecuteRequest> DecodeExecuteRequest(std::string_view body);
 
-std::string EncodeBatchRequest(
-    const std::vector<std::pair<Key, std::string>>& items);
-StatusOr<std::vector<std::pair<Key, std::string>>> DecodeBatchRequest(
-    std::string_view body);
-
-/// v2 ExecuteBatch body: (client_id, batch_seq) prefix + the v1 item list.
-/// A server remembers recently-served (client_id, batch_seq) pairs and
-/// answers a replay from its response cache instead of re-executing — the
-/// dedup half of exactly-once batch delegation (the client half is reusing
-/// the same tag across retry attempts).
+/// ExecuteBatch body: (client_id, batch_seq) prefix + a u32-counted list of
+/// (key, params) items. A server remembers recently-served (client_id,
+/// batch_seq) pairs and answers a replay from its response cache instead
+/// of re-executing — the dedup half of exactly-once batch delegation (the
+/// client half is reusing the same tag across retry attempts). client_id 0
+/// opts out of dedup.
 struct TaggedBatchRequest {
   uint64_t client_id = 0;
   uint64_t batch_seq = 0;

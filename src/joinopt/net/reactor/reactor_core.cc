@@ -322,8 +322,7 @@ void ReactorCore::ParseAndDispatch(Loop& loop,
             return;
           }
           auto frame = BuildFrame(type, h.seq, resp_body,
-                                  limits_.max_frame_bytes,
-                                  EchoWireVersion(h.version));
+                                  limits_.max_frame_bytes);
           if (!frame.ok()) {  // response exceeds the frame bound
             ++stats_->protocol_errors;
             conn->CompleteRequest("", /*kill=*/true);
@@ -363,8 +362,7 @@ bool ReactorCore::HandleSubscribe(Loop& loop,
   // Same refusal modes as the legacy backend: no in-band error slot, so a
   // subscription we cannot serve is refused by dropping the connection.
   WritableDataService* writable = dispatcher_->writable();
-  if (writable == nullptr || header.version < 2 ||
-      !SupportedWireVersion(header.version)) {
+  if (writable == nullptr || header.version != kWireVersion) {
     ++stats_->protocol_errors;
     return false;
   }
@@ -378,7 +376,6 @@ bool ReactorCore::HandleSubscribe(Loop& loop,
     return false;
   }
   ++stats_->requests;
-  conn->wire_version_ = header.version;
   conn->subscribed_io_ = true;
   {
     MutexLock lock(conn->mu_);
@@ -392,7 +389,7 @@ bool ReactorCore::HandleSubscribe(Loop& loop,
   conn->sink_registered_ = true;
   auto frame = BuildFrame(MsgType::kSubscribeResp, header.seq,
                           EncodeSubscribeResponse(writable->EpochSnapshot()),
-                          limits_.max_frame_bytes, header.version);
+                          limits_.max_frame_bytes);
   if (!frame.ok()) return false;
   {
     MutexLock lock(conn->mu_);
@@ -438,8 +435,7 @@ void ReactorCore::TryFlush(Loop& loop,
         conn->notify_index_.erase(event.key);
         auto frame = BuildFrame(MsgType::kNotifyEvt, conn->notify_seq_++,
                                 EncodeNotifyEvent(event),
-                                limits_.max_frame_bytes,
-                                conn->wire_version_);
+                                limits_.max_frame_bytes);
         if (!frame.ok()) continue;  // fixed-size body; cannot happen
         conn->write_bytes_ += frame->size();
         conn->write_queue_.push_back(*std::move(frame));

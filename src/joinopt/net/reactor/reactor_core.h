@@ -9,7 +9,7 @@
 // buffers, not stacks.
 //
 // Wire behaviour is identical to the thread-per-connection backend (same
-// frozen v1/v2 frames, same VerbDispatcher), with two deliberate
+// frozen v2 frames, same VerbDispatcher), with two deliberate
 // extensions the old backend cannot express:
 //  * request pipelining — a client may stream several requests before
 //    reading responses (answers may complete out of order; the frame seq

@@ -34,12 +34,12 @@
 // ExecuteBatch requests name only (key, params). The client's fn argument
 // is ignored (see DataService::Execute's contract in engine/async_api.h).
 //
-// Wire v2 (see frame.h): the server additionally speaks Put, the
-// Subscribe/Notify invalidation stream, and tagged ExecuteBatch with
-// server-side replay dedup — but only when the wrapped service implements
-// WritableDataService (discovered by dynamic_cast at construction). v1
-// clients are still served for the five original verbs, with responses
-// stamped v1 so old readers parse them.
+// Wire v2 (see frame.h): ExecuteBatch is tagged and deduplicated
+// server-side on replay. Put, the Subscribe/Notify invalidation stream and
+// the anti-entropy verbs are served only when the wrapped service
+// implements WritableDataService (discovered by dynamic_cast at
+// construction). A request stamped with any other wire version gets an
+// in-band FailedPrecondition answer and the connection keeps serving.
 #ifndef JOINOPT_NET_RPC_SERVER_H_
 #define JOINOPT_NET_RPC_SERVER_H_
 

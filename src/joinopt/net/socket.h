@@ -104,11 +104,8 @@ Status SendAll(int fd, const void* data, size_t len, double deadline_sec);
 Status RecvAll(int fd, void* data, size_t len, double deadline_sec);
 
 /// Sends one framed message (header + body) within the deadline.
-/// `version` stamps the frame header (a v2 server answering a v1 client
-/// echoes the client's version so v1 readers parse the response).
 Status SendFrame(int fd, MsgType type, uint32_t seq, std::string_view body,
-                 double deadline_sec, size_t max_frame_bytes,
-                 uint8_t version = kWireVersion);
+                 double deadline_sec, size_t max_frame_bytes);
 
 /// Receives one framed message within the deadline; validates the header
 /// (magic, flags, size bound) but *not* the version — the caller decides

@@ -19,13 +19,8 @@ std::pair<MsgType, std::string> VerbDispatcher::Dispatch(
 
   // Version mismatch: answer in-band so an old/new client reads an error
   // instead of hanging, then the connection is still usable (the *frame*
-  // layout is frozen across versions; only body encodings move). A v2-only
-  // verb arriving on a v1 frame is the same kind of mismatch.
-  bool verb_needs_v2 = header.type == MsgType::kPutReq ||
-                       header.type == MsgType::kRegionSummaryReq ||
-                       header.type == MsgType::kRegionSyncReq;
-  if (!SupportedWireVersion(header.version) ||
-      (verb_needs_v2 && header.version < 2)) {
+  // layout is frozen across versions; only body encodings move).
+  if (header.version != kWireVersion) {
     ++stats_->protocol_errors;
     Status mismatch = Status::FailedPrecondition(
         "wire version mismatch: server=" + std::to_string(kWireVersion) +
@@ -67,23 +62,12 @@ std::pair<MsgType, std::string> VerbDispatcher::Dispatch(
                              inner_->Execute(req->key, req->params, fn_))};
     }
     case MsgType::kBatchReq: {
-      // v1 frames carry the untagged body; v2 frames are tagged with
-      // (client_id, batch_seq) and go through the replay-dedup path.
-      if (header.version >= 2) {
-        auto req = DecodeTaggedBatchRequest(body);
-        if (!req.ok()) {
-          return {resp_type, EncodeBatchResponse({req.status()})};
-        }
-        stats_->batch_items += static_cast<int64_t>(req->items.size());
-        return {resp_type, DispatchTaggedBatch(*req)};
+      auto req = DecodeTaggedBatchRequest(body);
+      if (!req.ok()) {
+        return {resp_type, EncodeBatchResponse({req.status()})};
       }
-      auto items = DecodeBatchRequest(body);
-      if (!items.ok()) {
-        return {resp_type, EncodeBatchResponse({items.status()})};
-      }
-      stats_->batch_items += static_cast<int64_t>(items->size());
-      return {resp_type,
-              EncodeBatchResponse(inner_->ExecuteBatch(*items, fn_))};
+      stats_->batch_items += static_cast<int64_t>(req->items.size());
+      return {resp_type, DispatchTaggedBatch(*req)};
     }
     case MsgType::kStatReq: {
       auto key = DecodeKeyRequest(body);

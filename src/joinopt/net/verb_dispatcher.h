@@ -1,9 +1,9 @@
 // VerbDispatcher: the backend-independent request/response core of the
 // RPC server. Both serving backends — the thread-per-connection loop in
 // rpc_server.cc and the epoll reactor in net/reactor/ — feed decoded
-// frames through one shared dispatcher, so verb semantics (version
-// negotiation, the v1/v2 compat table, tagged-batch replay dedup) are
-// defined exactly once and cannot drift between backends.
+// frames through one shared dispatcher, so verb semantics (the in-band
+// version refusal, tagged-batch replay dedup) are defined exactly once and
+// cannot drift between backends.
 //
 // Thread safety: Dispatch is called concurrently from connection threads
 // (legacy backend) or worker-pool threads (reactor). The only internal
@@ -56,18 +56,6 @@ struct RpcAtomicStats {
   /// high watermark or the pipeline limit).
   std::atomic<int64_t> backpressure_pauses{0};
 };
-
-/// True when the server can parse frames stamped with this version.
-inline bool SupportedWireVersion(uint8_t v) {
-  return v >= kMinWireVersion && v <= kWireVersion;
-}
-
-/// The version responses to a request are stamped with: the client's own
-/// version when we speak it (so v1 readers parse v2-server answers), ours
-/// when the client's is alien (best effort on an error path).
-inline uint8_t EchoWireVersion(uint8_t v) {
-  return SupportedWireVersion(v) ? v : kWireVersion;
-}
 
 class VerbDispatcher {
  public:

@@ -1,11 +1,14 @@
-// Tests for the real (non-simulated) Section 7 API: submitComp/fetchComp
-// over actual payloads, with live ski-rental caching.
+// Tests for the in-process DataServices behind the Section 7 API, and the
+// fully real path: the one-shard executor over a log-structured store, with
+// live ski-rental caching.
 #include "joinopt/engine/async_api.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <chrono>
+
+#include "joinopt/engine/parallel_invoker.h"
 
 namespace joinopt {
 namespace {
@@ -56,8 +59,12 @@ UserFn SpinningConcat(double seconds = 200e-6) {
   };
 }
 
-AsyncInvoker::Options FastBuyOptions() {
-  AsyncInvoker::Options opt;
+/// The deterministic single-threaded executor: one worker, one shard, and
+/// callers use FetchComp only, so every plan runs inline on the caller.
+ParallelInvokerOptions OneShardFastBuyOptions() {
+  ParallelInvokerOptions opt;
+  opt.num_threads = 1;
+  opt.num_shards = 1;
   // High modeled bandwidth keeps tFetch well below the spinning UDF's
   // measured tCompute, so buying wins as soon as the key repeats.
   opt.bandwidth_bytes_per_sec = 1e9;
@@ -85,99 +92,12 @@ TEST(LocalDataServiceTest, FetchExecuteStat) {
   EXPECT_EQ(svc.executes(), 2);
 }
 
-TEST(AsyncInvokerTest, FetchCompComputesCorrectValue) {
-  ApiRig rig;
-  rig.Put(7, "seven");
-  AsyncInvoker invoker(rig.service.get(), Concat());
-  auto r = invoker.FetchComp(7, "ctx");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "7:ctx:seven");
-}
-
-TEST(AsyncInvokerTest, SubmitThenFetchUsesPrefetchedResult) {
-  ApiRig rig;
-  rig.Put(7, "seven");
-  AsyncInvoker invoker(rig.service.get(), Concat());
-  invoker.SubmitComp(7, "a");
-  invoker.SubmitComp(7, "b");
-  EXPECT_EQ(invoker.stats().submitted, 2);
-  auto ra = invoker.FetchComp(7, "a");
-  auto rb = invoker.FetchComp(7, "b");
-  ASSERT_TRUE(ra.ok());
-  ASSERT_TRUE(rb.ok());
-  EXPECT_EQ(*ra, "7:a:seven");
-  EXPECT_EQ(*rb, "7:b:seven");
-}
-
-TEST(AsyncInvokerTest, DuplicateSubmissionsQueueFifo) {
-  ApiRig rig;
-  rig.Put(3, "v");
-  int calls = 0;
-  UserFn counting = [&calls](Key, const std::string& p, const std::string&) {
-    ++calls;
-    return p + "#" + std::to_string(calls);
-  };
-  AsyncInvoker invoker(rig.service.get(), counting);
-  invoker.SubmitComp(3, "x");
-  invoker.SubmitComp(3, "x");
-  EXPECT_EQ(*invoker.FetchComp(3, "x"), "x#1");
-  EXPECT_EQ(*invoker.FetchComp(3, "x"), "x#2");
-  // Third fetch without submission: computed on demand.
-  EXPECT_EQ(*invoker.FetchComp(3, "x"), "x#3");
-}
-
-TEST(AsyncInvokerTest, HotKeyGetsCachedAndServedLocally) {
-  ApiRig rig;
-  rig.Put(5, std::string(1 << 16, 'm'));
-  AsyncInvoker invoker(rig.service.get(), SpinningConcat(), FastBuyOptions());
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(invoker.FetchComp(5, "p").ok());
-  }
-  const auto& s = invoker.stats();
-  EXPECT_GT(s.served_from_cache, 30);
-  EXPECT_LE(s.fetched_then_computed, 2);
-  // The service stopped seeing the hot key after the buy.
-  EXPECT_LT(rig.service->executes(), 20);
-}
-
-TEST(AsyncInvokerTest, ColdKeysStayDelegated) {
-  ApiRig rig;
-  for (Key k = 0; k < 100; ++k) rig.Put(k, "v" + std::to_string(k));
-  AsyncInvoker invoker(rig.service.get(), Concat(), FastBuyOptions());
-  for (Key k = 0; k < 100; ++k) {
-    ASSERT_TRUE(invoker.FetchComp(k, "p").ok());
-  }
-  // One access each: everything delegated (first-request rule), nothing
-  // bought.
-  EXPECT_EQ(invoker.stats().delegated, 100);
-  EXPECT_EQ(invoker.stats().served_from_cache, 0);
-}
-
-TEST(AsyncInvokerTest, UpdateInvalidatesCachedPayload) {
-  ApiRig rig;
-  rig.Put(5, "old-data");
-  AsyncInvoker invoker(rig.service.get(), SpinningConcat(), FastBuyOptions());
-  for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(invoker.FetchComp(5, "p").ok());
-  }
-  ASSERT_GT(invoker.stats().served_from_cache, 0);
-  auto update = rig.store->Update(
-      5, [](StoredItem& item) {
-        item.payload = "new-data";
-        item.size_bytes = 8;
-      });
-  ASSERT_TRUE(update.ok());
-  invoker.OnUpdate(5, update->new_version);
-  auto r = invoker.FetchComp(5, "p");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "5:p:new-data");  // never serves the stale payload
-}
-
 TEST(LogStoreDataServiceTest, FullyRealPathWorksEndToEnd) {
   LogStructuredStore store;
   store.Put(9, "log-backed-model");
   LogStoreDataService service(&store, /*num_shards=*/4);
-  AsyncInvoker invoker(&service, SpinningConcat(), FastBuyOptions());
+  ParallelInvoker invoker(&service, SpinningConcat(),
+                          OneShardFastBuyOptions());
   for (int i = 0; i < 30; ++i) {
     auto r = invoker.FetchComp(9, "p");
     ASSERT_TRUE(r.ok());
@@ -240,32 +160,6 @@ TEST(LogStoreDataServiceTest, VersionsPropagateThroughUpdates) {
   EXPECT_EQ(stat->version, 2u);
   ASSERT_TRUE(store.Delete(3).ok());
   EXPECT_TRUE(service.Fetch(3).status().IsNotFound());
-}
-
-TEST(AsyncInvokerTest, UnclaimedResultsAreBounded) {
-  ApiRig rig;
-  for (Key k = 0; k < 64; ++k) rig.Put(k, "v");
-  AsyncInvoker::Options opt;
-  opt.max_unclaimed_results = 32;
-  AsyncInvoker invoker(rig.service.get(), Concat(), opt);
-  for (int i = 0; i < 1000; ++i) {
-    invoker.SubmitComp(static_cast<Key>(i % 64), std::to_string(i));
-  }
-  // The result map held at most the bound; the oldest half was swept.
-  EXPECT_LE(invoker.pending_results(), 32u);
-  EXPECT_GE(invoker.stats().dropped_results, 900);
-  // A dropped submission recomputes on demand with the right value.
-  auto r = invoker.FetchComp(0, "0");
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(*r, "0:0:v");
-}
-
-TEST(AsyncInvokerTest, MissingKeySurfacesNotFound) {
-  ApiRig rig;
-  AsyncInvoker invoker(rig.service.get(), Concat());
-  EXPECT_TRUE(invoker.FetchComp(404, "p").status().IsNotFound());
-  invoker.SubmitComp(404, "p");  // error swallowed at submit...
-  EXPECT_TRUE(invoker.FetchComp(404, "p").status().IsNotFound());  // ...resurfaces
 }
 
 }  // namespace

@@ -195,6 +195,23 @@ TEST(ParallelInvokerTest, HotKeyGetsCachedAndServedLocally) {
   EXPECT_GT(cache.memory_hits, 30);
 }
 
+TEST(ParallelInvokerTest, ColdKeysStayDelegated) {
+  // The deterministic single-threaded executor: one worker, one shard,
+  // FetchComp only — every plan runs inline on this thread.
+  ApiRig rig;
+  for (Key k = 0; k < 100; ++k) rig.Put(k, "v" + std::to_string(k));
+  ParallelInvokerOptions opt = FastBuyOptions(1);
+  opt.num_shards = 1;
+  ParallelInvoker invoker(rig.service.get(), Concat(), opt);
+  for (Key k = 0; k < 100; ++k) {
+    ASSERT_TRUE(invoker.FetchComp(k, "p").ok());
+  }
+  // One access each: everything delegated (first-request rule), nothing
+  // bought.
+  EXPECT_EQ(invoker.stats().delegated, 100);
+  EXPECT_EQ(invoker.stats().served_from_cache, 0);
+}
+
 TEST(ParallelInvokerTest, ExpectedKeysHintPreservesBehavior) {
   // The expected_keys hint only pre-reserves per-shard tables; routing and
   // caching behaviour must be identical to the unhinted run.

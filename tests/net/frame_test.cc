@@ -109,9 +109,14 @@ TEST(FrameCodecTest, BatchRequestRoundTrip) {
     for (size_t i = 0; i < n; ++i) {
       items.emplace_back(rng.Next(), RandomBytes(rng, 128));
     }
-    auto decoded = DecodeBatchRequest(EncodeBatchRequest(items));
+    uint64_t client_id = rng.Next();
+    uint64_t batch_seq = rng.Next();
+    auto decoded = DecodeTaggedBatchRequest(
+        EncodeTaggedBatchRequest(client_id, batch_seq, items));
     ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(*decoded, items);
+    EXPECT_EQ(decoded->client_id, client_id);
+    EXPECT_EQ(decoded->batch_seq, batch_seq);
+    EXPECT_EQ(decoded->items, items);
   }
 }
 
@@ -119,9 +124,11 @@ TEST(FrameCodecTest, BatchRequestRejectsLyingCount) {
   // A count field claiming more items than the frame could possibly hold
   // must fail parsing, not drive a giant reserve().
   std::string body;
+  PutU64(&body, 1);  // client_id
+  PutU64(&body, 2);  // batch_seq
   PutU32(&body, 0x40000000);
   PutU64(&body, 7);
-  EXPECT_FALSE(DecodeBatchRequest(body).ok());
+  EXPECT_FALSE(DecodeTaggedBatchRequest(body).ok());
 }
 
 TEST(FrameCodecTest, FetchResponseRoundTrip) {
@@ -225,9 +232,9 @@ TEST(FrameCodecTest, TruncationNeverParses) {
   for (int i = 0; i < 5; ++i) {
     items.emplace_back(rng.Next(), RandomBytes(rng, 64));
   }
-  std::string full = EncodeBatchRequest(items);
+  std::string full = EncodeTaggedBatchRequest(1, 2, items);
   for (size_t cut = 0; cut < full.size(); ++cut) {
-    EXPECT_FALSE(DecodeBatchRequest(full.substr(0, cut)).ok());
+    EXPECT_FALSE(DecodeTaggedBatchRequest(full.substr(0, cut)).ok());
   }
 
   std::string resp = EncodeFetchResponse(
@@ -248,63 +255,6 @@ TEST(FrameCodecTest, ResponseTypeMapping) {
   EXPECT_EQ(ResponseTypeFor(MsgType::kSubscribeReq), MsgType::kSubscribeResp);
   // One-way push: never answered.
   EXPECT_EQ(ResponseTypeFor(MsgType::kNotifyEvt), static_cast<MsgType>(0));
-}
-
-// ---- wire v2 -------------------------------------------------------------
-
-TEST(FrameHeaderTest, BothSupportedVersionsParse) {
-  for (uint8_t version : {kMinWireVersion, kWireVersion}) {
-    std::string buf;
-    AppendFrameHeader(&buf, MsgType::kFetchReq, /*seq=*/7, /*body_len=*/8,
-                      version);
-    auto h = ParseFrameHeader(buf, kDefaultMaxFrameBytes);
-    ASSERT_TRUE(h.ok()) << h.status();
-    EXPECT_EQ(h->version, version);
-  }
-}
-
-/// The backward-compatibility property: the five v1 verb bodies are
-/// byte-identical under v2 (the codec functions are shared and
-/// version-free), and a tagged batch is exactly a 16-byte (client_id,
-/// batch_seq) prefix in front of the v1 batch body — so a v1 reader given
-/// a v2 response body for any of the five verbs parses it unchanged.
-TEST(FrameCodecTest, V1BodiesAreV2CompatibleProperty) {
-  Rng rng(0xC0117A7);
-  for (int i = 0; i < 64; ++i) {
-    std::vector<std::pair<Key, std::string>> items;
-    for (int j = 0; j < static_cast<int>(rng.NextBounded(6)); ++j) {
-      items.emplace_back(rng.Next(), RandomBytes(rng, 64));
-    }
-    uint64_t client_id = rng.Next();
-    uint64_t batch_seq = rng.Next();
-    std::string tagged = EncodeTaggedBatchRequest(client_id, batch_seq, items);
-    std::string untagged = EncodeBatchRequest(items);
-    ASSERT_EQ(tagged.size(), untagged.size() + 16);
-    EXPECT_EQ(tagged.substr(16), untagged)
-        << "tagged batch must wrap the v1 body byte-identically";
-    auto decoded = DecodeTaggedBatchRequest(tagged);
-    ASSERT_TRUE(decoded.ok()) << decoded.status();
-    EXPECT_EQ(decoded->client_id, client_id);
-    EXPECT_EQ(decoded->batch_seq, batch_seq);
-    EXPECT_EQ(decoded->items, items);
-
-    // Any v1-verb body round-trips identically regardless of the header
-    // version framing it.
-    Key key = rng.Next();
-    std::string body = EncodeKeyRequest(key);
-    for (uint8_t version : {kMinWireVersion, kWireVersion}) {
-      auto frame = BuildFrame(MsgType::kFetchReq, 1, body,
-                              kDefaultMaxFrameBytes, version);
-      ASSERT_TRUE(frame.ok());
-      auto h = ParseFrameHeader(frame->substr(0, kFrameHeaderBytes),
-                                kDefaultMaxFrameBytes);
-      ASSERT_TRUE(h.ok());
-      EXPECT_EQ(h->version, version);
-      auto k = DecodeKeyRequest(frame->substr(kFrameHeaderBytes));
-      ASSERT_TRUE(k.ok());
-      EXPECT_EQ(*k, key);
-    }
-  }
 }
 
 TEST(FrameCodecTest, PutRequestAndResponseRoundTrip) {
@@ -369,10 +319,6 @@ TEST(FrameCodecTest, SubscribeAndNotifyRoundTrip) {
 }
 
 TEST(FrameCodecTest, V2TruncationNeverParses) {
-  std::string tagged = EncodeTaggedBatchRequest(1, 2, {{3, "params"}});
-  for (size_t cut = 0; cut < tagged.size(); ++cut) {
-    EXPECT_FALSE(DecodeTaggedBatchRequest(tagged.substr(0, cut)).ok());
-  }
   std::string put = EncodePutRequest(9, "value");
   for (size_t cut = 0; cut < put.size(); ++cut) {
     EXPECT_FALSE(DecodePutRequest(put.substr(0, cut)).ok());

@@ -1,8 +1,9 @@
 // Socket transport tests over loopback TCP: verb parity with the wrapped
 // in-process service, one-round-trip batching, connect/IO deadlines
 // surfacing as the recovery machinery's Status codes, replica failover when
-// a server dies (including mid-batch), and the ParallelInvoker running
-// unmodified over the networked DataService.
+// a server dies (including mid-batch), the in-band refusal of any other
+// wire version, and the ParallelInvoker running unmodified over the
+// networked DataService.
 #include <gtest/gtest.h>
 #include <sys/socket.h>
 
@@ -14,6 +15,8 @@
 #include <utility>
 #include <vector>
 
+#include "joinopt/cluster/data_node.h"
+#include "joinopt/cluster/topology.h"
 #include "joinopt/engine/async_api.h"
 #include "joinopt/engine/parallel_invoker.h"
 #include "joinopt/engine/plan_exec.h"
@@ -283,66 +286,138 @@ TEST(RpcTransportTest, KillServerMidBatchFailsOverToReplica) {
   EXPECT_GT(rpc.client().recovery_counters().failovers, rec.failovers);
 }
 
-TEST(RpcTransportTest, V1ClientSpeaksAllFiveVerbsToV2Server) {
-  // A frozen v1 client (frames stamped version=1, pre-Put/Subscribe body
-  // formats) against today's server: every one of the five original verbs
-  // must round-trip, and the server must answer in the client's version.
-  StoreFixture fx;
-  LoopbackRpc rpc(&fx.service, EchoFn());
+/// The in-band error a response body to `req` carries (OK when it carries
+/// a value), or the decode failure.
+Status ResponseError(MsgType req, const std::string& body) {
+  switch (req) {
+    case MsgType::kFetchReq: {
+      auto r = DecodeFetchResponse(body);
+      return r.ok() ? r->status() : r.status();
+    }
+    case MsgType::kExecuteReq: {
+      auto r = DecodeExecuteResponse(body);
+      return r.ok() ? r->status() : r.status();
+    }
+    case MsgType::kBatchReq: {
+      auto r = DecodeBatchResponse(body);
+      if (!r.ok()) return r.status();
+      if (r->size() != 1) return Status::Internal("batch: expected 1 result");
+      return r->front().status();
+    }
+    case MsgType::kStatReq: {
+      auto r = DecodeStatResponse(body);
+      return r.ok() ? r->status() : r.status();
+    }
+    case MsgType::kPutReq: {
+      auto r = DecodePutResponse(body);
+      return r.ok() ? r->status() : r.status();
+    }
+    case MsgType::kRegionSummaryReq: {
+      auto r = DecodeRegionSummaryResponse(body);
+      return r.ok() ? r->status() : r.status();
+    }
+    case MsgType::kRegionSyncReq: {
+      auto r = DecodeRegionSyncResponse(body);
+      return r.ok() ? r->status() : r.status();
+    }
+    default:
+      return Status::Internal("no error slot");
+  }
+}
+
+TEST(RpcTransportTest, UnsupportedWireVersionRefusedInBand) {
+  // The server speaks exactly kWireVersion. A request stamped with any
+  // other version gets an in-band FailedPrecondition (OwnerOf:
+  // kInvalidNode) and the connection keeps serving. Subscribe has no error
+  // slot, so a mismatched Subscribe gets its connection closed. The service
+  // is writable, so every verb would succeed at the right version.
+  ClusterTopologyConfig tcfg;
+  tcfg.num_data_nodes = 1;
+  tcfg.regions_per_node = 4;
+  tcfg.replication_factor = 1;
+  ClusterTopology topology(tcfg);
+  ClusterNodeService service(/*node=*/0, &topology);
+  const Key key = 7;
+  ASSERT_TRUE(service.Put(key, "payload-7").ok());
+  LoopbackRpc rpc(&service, EchoFn());
   ASSERT_TRUE(rpc.status().ok()) << rpc.status();
+
+  // A well-formed frame with `version` written over the header's version
+  // byte (offset 4).
+  auto send_stamped = [](int fd, MsgType type, uint32_t seq,
+                         const std::string& body, uint8_t version) {
+    auto frame = BuildFrame(type, seq, body, kDefaultMaxFrameBytes);
+    if (!frame.ok()) return frame.status();
+    (*frame)[4] = static_cast<char>(version);
+    return SendAll(fd, frame->data(), frame->size(), 1.0);
+  };
 
   auto conn = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
   ASSERT_TRUE(conn.ok()) << conn.status();
-  uint32_t seq = 0;
-  auto exchange = [&](MsgType type,
-                      const std::string& body) -> StatusOr<std::string> {
-    JOINOPT_RETURN_NOT_OK(SendFrame(conn->get(), type, ++seq, body, 1.0,
-                                    kDefaultMaxFrameBytes,
-                                    /*version=*/kMinWireVersion));
-    JOINOPT_ASSIGN_OR_RETURN(RecvdFrame frame,
-                             RecvFrame(conn->get(), 2.0,
-                                       kDefaultMaxFrameBytes));
-    EXPECT_EQ(frame.header.version, kMinWireVersion)
-        << "server must answer a v1 client in v1";
-    EXPECT_EQ(frame.header.type, ResponseTypeFor(type));
-    EXPECT_EQ(frame.header.seq, seq);
-    return std::move(frame.body);
+  const std::vector<std::pair<MsgType, std::string>> requests = {
+      {MsgType::kFetchReq, EncodeKeyRequest(key)},
+      {MsgType::kExecuteReq, EncodeExecuteRequest(key, "p")},
+      {MsgType::kBatchReq, EncodeTaggedBatchRequest(0, 0, {{key, "p"}})},
+      {MsgType::kStatReq, EncodeKeyRequest(key)},
+      {MsgType::kPutReq, EncodePutRequest(key, "overwritten")},
+      {MsgType::kRegionSummaryReq, EncodeRegionSummaryRequest(0)},
+      {MsgType::kRegionSyncReq, EncodeRegionSyncRequest(0, {})},
+      {MsgType::kOwnerReq, EncodeKeyRequest(key)},
   };
+  uint32_t seq = 0;
+  for (uint8_t version : {uint8_t{1}, uint8_t{3}}) {
+    for (const auto& [type, body] : requests) {
+      SCOPED_TRACE(std::string(MsgTypeToString(type)) + " stamped v" +
+                   std::to_string(version));
+      ASSERT_TRUE(send_stamped(conn->get(), type, ++seq, body, version).ok());
+      auto resp = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
+      ASSERT_TRUE(resp.ok()) << resp.status();
+      EXPECT_EQ(resp->header.version, kWireVersion);
+      EXPECT_EQ(resp->header.type, ResponseTypeFor(type));
+      EXPECT_EQ(resp->header.seq, seq);
+      if (type == MsgType::kOwnerReq) {
+        auto owner = DecodeOwnerResponse(resp->body);
+        ASSERT_TRUE(owner.ok()) << owner.status();
+        EXPECT_EQ(*owner, kInvalidNode);
+      } else {
+        EXPECT_EQ(ResponseError(type, resp->body).code(),
+                  StatusCode::kFailedPrecondition);
+      }
+    }
+  }
+  EXPECT_EQ(rpc.server().stats().protocol_errors, 16);
 
-  Key key = 7;
-  auto fetch_body = exchange(MsgType::kFetchReq, EncodeKeyRequest(key));
-  ASSERT_TRUE(fetch_body.ok()) << fetch_body.status();
-  auto fetched = DecodeFetchResponse(*fetch_body);
+  // The same connection still serves a v2 request, and the refused Put
+  // wrote nothing.
+  ASSERT_TRUE(SendFrame(conn->get(), MsgType::kFetchReq, ++seq,
+                        EncodeKeyRequest(key), 1.0, kDefaultMaxFrameBytes)
+                  .ok());
+  auto fetch = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(fetch.ok()) << fetch.status();
+  auto fetched = DecodeFetchResponse(fetch->body);
   ASSERT_TRUE(fetched.ok() && fetched->ok()) << fetched.status();
   EXPECT_EQ(fetched->value().value, "payload-7");
 
-  auto exec_body =
-      exchange(MsgType::kExecuteReq, EncodeExecuteRequest(key, "p"));
-  ASSERT_TRUE(exec_body.ok()) << exec_body.status();
-  auto executed = DecodeExecuteResponse(*exec_body);
-  ASSERT_TRUE(executed.ok() && executed->ok()) << executed.status();
-  EXPECT_EQ(executed->value(), "7/p/payload-7");
+  // A Subscribe stamped v1 is refused by closing the connection — an EOF,
+  // not a timeout — while a v2 Subscribe on a fresh one is answered.
+  auto sub = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
+  ASSERT_TRUE(sub.ok()) << sub.status();
+  ASSERT_TRUE(send_stamped(sub->get(), MsgType::kSubscribeReq, 1,
+                           EncodeSubscribeRequest(99), 1)
+                  .ok());
+  auto refused = RecvFrame(sub->get(), 2.0, kDefaultMaxFrameBytes);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_FALSE(IsDeadlineExceeded(refused.status())) << refused.status();
 
-  auto batch_body = exchange(
-      MsgType::kBatchReq, EncodeBatchRequest({{1, "a"}, {2, "b"}}));
-  ASSERT_TRUE(batch_body.ok()) << batch_body.status();
-  auto batch = DecodeBatchResponse(*batch_body);
-  ASSERT_TRUE(batch.ok()) << batch.status();
-  ASSERT_EQ(batch->size(), 2u);
-  EXPECT_EQ((*batch)[0].value(), "1/a/payload-1");
-  EXPECT_EQ((*batch)[1].value(), "2/b/payload-2");
-
-  auto stat_body = exchange(MsgType::kStatReq, EncodeKeyRequest(key));
-  ASSERT_TRUE(stat_body.ok()) << stat_body.status();
-  auto stat = DecodeStatResponse(*stat_body);
-  ASSERT_TRUE(stat.ok() && stat->ok()) << stat.status();
-  EXPECT_EQ(stat->value().version, fx.store.VersionOf(key));
-
-  auto owner_body = exchange(MsgType::kOwnerReq, EncodeKeyRequest(key));
-  ASSERT_TRUE(owner_body.ok()) << owner_body.status();
-  auto owner = DecodeOwnerResponse(*owner_body);
-  ASSERT_TRUE(owner.ok()) << owner.status();
-  EXPECT_EQ(*owner, fx.service.OwnerOf(key));
+  auto sub2 = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
+  ASSERT_TRUE(sub2.ok()) << sub2.status();
+  ASSERT_TRUE(SendFrame(sub2->get(), MsgType::kSubscribeReq, 1,
+                        EncodeSubscribeRequest(99), 1.0,
+                        kDefaultMaxFrameBytes)
+                  .ok());
+  auto snapshot = RecvFrame(sub2->get(), 2.0, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  EXPECT_EQ(snapshot->header.type, MsgType::kSubscribeResp);
 }
 
 TEST(RpcTransportTest, ReadBalancingSpreadsFetchesButWritesStayPrimary) {
