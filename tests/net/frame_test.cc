@@ -257,6 +257,73 @@ TEST(FrameCodecTest, ResponseTypeMapping) {
   EXPECT_EQ(ResponseTypeFor(MsgType::kNotifyEvt), static_cast<MsgType>(0));
 }
 
+// ---- the version byte ------------------------------------------------------
+
+TEST(FrameHeaderTest, BothSupportedVersionsParse) {
+  // A server speaks only kWireVersion, but the header layout is frozen, so
+  // the header layer parses a v1 peer's frame as well as a current one and
+  // reports the version unchecked. Refusing the mismatch is the server's
+  // job, in-band (RpcTransportTest.UnsupportedWireVersionRefusedInBand).
+  for (uint8_t version : {uint8_t{1}, kWireVersion}) {
+    std::string buf;
+    AppendFrameHeader(&buf, MsgType::kFetchReq, /*seq=*/7, /*body_len=*/8);
+    buf[4] = static_cast<char>(version);
+    auto h = ParseFrameHeader(buf, kDefaultMaxFrameBytes);
+    ASSERT_TRUE(h.ok()) << h.status();
+    EXPECT_EQ(h->version, version);
+    EXPECT_EQ(h->type, MsgType::kFetchReq);
+    EXPECT_EQ(h->seq, 7u);
+    EXPECT_EQ(h->body_len, 8u);
+  }
+}
+
+/// The layout v2 kept from v1: a tagged batch is a 16-byte (client_id,
+/// batch_seq) prefix in front of the v1 item list, and the verb bodies are
+/// version-free — a body decodes identically whatever version byte its
+/// header carries, which is what lets a server read a v1 request far enough
+/// to answer it with an in-band refusal.
+TEST(FrameCodecTest, V1BodiesAreV2CompatibleProperty) {
+  Rng rng(0xC0117A7);
+  for (int i = 0; i < 64; ++i) {
+    std::vector<std::pair<Key, std::string>> items;
+    for (int j = 0; j < static_cast<int>(rng.NextBounded(6)); ++j) {
+      items.emplace_back(rng.Next(), RandomBytes(rng, 64));
+    }
+    uint64_t client_id = rng.Next();
+    uint64_t batch_seq = rng.Next();
+    std::string tagged = EncodeTaggedBatchRequest(client_id, batch_seq, items);
+    std::string tag;
+    PutU64(&tag, client_id);
+    PutU64(&tag, batch_seq);
+    ASSERT_GE(tagged.size(), tag.size());
+    EXPECT_EQ(tagged.substr(0, tag.size()), tag);
+    EXPECT_EQ(tagged.substr(tag.size()),
+              EncodeTaggedBatchRequest(0, 0, items).substr(tag.size()))
+        << "the item list must not depend on the tag";
+    auto decoded = DecodeTaggedBatchRequest(tagged);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(decoded->client_id, client_id);
+    EXPECT_EQ(decoded->batch_seq, batch_seq);
+    EXPECT_EQ(decoded->items, items);
+
+    Key key = rng.Next();
+    std::string body = EncodeKeyRequest(key);
+    for (uint8_t version : {uint8_t{1}, kWireVersion}) {
+      auto frame = BuildFrame(MsgType::kFetchReq, 1, body,
+                              kDefaultMaxFrameBytes);
+      ASSERT_TRUE(frame.ok());
+      (*frame)[4] = static_cast<char>(version);
+      auto h = ParseFrameHeader(frame->substr(0, kFrameHeaderBytes),
+                                kDefaultMaxFrameBytes);
+      ASSERT_TRUE(h.ok());
+      EXPECT_EQ(h->version, version);
+      auto k = DecodeKeyRequest(frame->substr(kFrameHeaderBytes));
+      ASSERT_TRUE(k.ok());
+      EXPECT_EQ(*k, key);
+    }
+  }
+}
+
 TEST(FrameCodecTest, PutRequestAndResponseRoundTrip) {
   Rng rng(77);
   for (int i = 0; i < 32; ++i) {

@@ -325,6 +325,73 @@ Status ResponseError(MsgType req, const std::string& body) {
   }
 }
 
+/// Sends a well-formed frame with `version` written over the header's
+/// version byte (offset 4).
+Status SendStamped(int fd, MsgType type, uint32_t seq, const std::string& body,
+                   uint8_t version) {
+  auto frame = BuildFrame(type, seq, body, kDefaultMaxFrameBytes);
+  if (!frame.ok()) return frame.status();
+  (*frame)[4] = static_cast<char>(version);
+  return SendAll(fd, frame->data(), frame->size(), 1.0);
+}
+
+TEST(RpcTransportTest, V1ClientSpeaksAllFiveVerbsToV2Server) {
+  // A frozen v1 client (frames stamped version=1, v1 body formats — the
+  // batch untagged) against today's server: each of the five original
+  // verbs is answered, in the server's version, with an in-band refusal
+  // (OwnerOf: kInvalidNode) instead of a misparse of the untagged batch or
+  // a hang-up, and the same connection then serves the client once it
+  // speaks kWireVersion.
+  StoreFixture fx;
+  LoopbackRpc rpc(&fx.service, EchoFn());
+  ASSERT_TRUE(rpc.status().ok()) << rpc.status();
+
+  auto conn = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  const Key key = 7;
+  // The v1 batch body is the tagged body without its 16-byte tag.
+  const std::string v1_batch =
+      EncodeTaggedBatchRequest(0, 0, {{1, "a"}, {2, "b"}}).substr(16);
+  const std::vector<std::pair<MsgType, std::string>> requests = {
+      {MsgType::kFetchReq, EncodeKeyRequest(key)},
+      {MsgType::kExecuteReq, EncodeExecuteRequest(key, "p")},
+      {MsgType::kBatchReq, v1_batch},
+      {MsgType::kStatReq, EncodeKeyRequest(key)},
+      {MsgType::kOwnerReq, EncodeKeyRequest(key)},
+  };
+  uint32_t seq = 0;
+  for (const auto& [type, body] : requests) {
+    SCOPED_TRACE(MsgTypeToString(type));
+    ASSERT_TRUE(SendStamped(conn->get(), type, ++seq, body, 1).ok());
+    auto resp = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
+    ASSERT_TRUE(resp.ok()) << resp.status();
+    EXPECT_EQ(resp->header.version, kWireVersion);
+    EXPECT_EQ(resp->header.type, ResponseTypeFor(type));
+    EXPECT_EQ(resp->header.seq, seq);
+    if (type == MsgType::kOwnerReq) {
+      auto owner = DecodeOwnerResponse(resp->body);
+      ASSERT_TRUE(owner.ok()) << owner.status();
+      EXPECT_EQ(*owner, kInvalidNode);
+    } else {
+      EXPECT_EQ(ResponseError(type, resp->body).code(),
+                StatusCode::kFailedPrecondition);
+    }
+  }
+  RpcServerStats stats = rpc.server().stats();
+  EXPECT_EQ(stats.protocol_errors, 5);
+  EXPECT_EQ(stats.requests, 0) << "a refused request must not be served";
+
+  ASSERT_TRUE(SendFrame(conn->get(), MsgType::kFetchReq, ++seq,
+                        EncodeKeyRequest(key), 1.0, kDefaultMaxFrameBytes)
+                  .ok());
+  auto fetch = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(fetch.ok()) << fetch.status();
+  auto fetched = DecodeFetchResponse(fetch->body);
+  ASSERT_TRUE(fetched.ok() && fetched->ok()) << fetched.status();
+  EXPECT_EQ(fetched->value().value, "payload-7");
+  EXPECT_EQ(fetched->value().version, fx.store.VersionOf(key));
+}
+
 TEST(RpcTransportTest, UnsupportedWireVersionRefusedInBand) {
   // The server speaks exactly kWireVersion. A request stamped with any
   // other version gets an in-band FailedPrecondition (OwnerOf:
@@ -341,16 +408,6 @@ TEST(RpcTransportTest, UnsupportedWireVersionRefusedInBand) {
   ASSERT_TRUE(service.Put(key, "payload-7").ok());
   LoopbackRpc rpc(&service, EchoFn());
   ASSERT_TRUE(rpc.status().ok()) << rpc.status();
-
-  // A well-formed frame with `version` written over the header's version
-  // byte (offset 4).
-  auto send_stamped = [](int fd, MsgType type, uint32_t seq,
-                         const std::string& body, uint8_t version) {
-    auto frame = BuildFrame(type, seq, body, kDefaultMaxFrameBytes);
-    if (!frame.ok()) return frame.status();
-    (*frame)[4] = static_cast<char>(version);
-    return SendAll(fd, frame->data(), frame->size(), 1.0);
-  };
 
   auto conn = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
   ASSERT_TRUE(conn.ok()) << conn.status();
@@ -369,7 +426,7 @@ TEST(RpcTransportTest, UnsupportedWireVersionRefusedInBand) {
     for (const auto& [type, body] : requests) {
       SCOPED_TRACE(std::string(MsgTypeToString(type)) + " stamped v" +
                    std::to_string(version));
-      ASSERT_TRUE(send_stamped(conn->get(), type, ++seq, body, version).ok());
+      ASSERT_TRUE(SendStamped(conn->get(), type, ++seq, body, version).ok());
       auto resp = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
       ASSERT_TRUE(resp.ok()) << resp.status();
       EXPECT_EQ(resp->header.version, kWireVersion);
@@ -402,7 +459,7 @@ TEST(RpcTransportTest, UnsupportedWireVersionRefusedInBand) {
   // not a timeout — while a v2 Subscribe on a fresh one is answered.
   auto sub = TcpConnect(rpc.server().host(), rpc.server().port(), 1.0);
   ASSERT_TRUE(sub.ok()) << sub.status();
-  ASSERT_TRUE(send_stamped(sub->get(), MsgType::kSubscribeReq, 1,
+  ASSERT_TRUE(SendStamped(sub->get(), MsgType::kSubscribeReq, 1,
                            EncodeSubscribeRequest(99), 1)
                   .ok());
   auto refused = RecvFrame(sub->get(), 2.0, kDefaultMaxFrameBytes);
