@@ -158,14 +158,17 @@ void UpdateSubscriber::StreamLoop(size_t slot, NodeId node) {
           }
           snapshot_seen_[slot]->store(true, std::memory_order_release);
           streamed = true;
-          // Drain the push stream until it breaks.
+          // Drain the push stream until it breaks. The idle tick waits for
+          // the first byte only: once a frame has started, it must arrive
+          // whole. (A tick expiring between a frame's header and its body
+          // would otherwise leave the next read mid-frame.)
           while (!stop_.load(std::memory_order_acquire)) {
-            auto frame = RecvFrame(fd.get(), options_.poll_tick,
+            auto readable = WaitReadable(fd.get(), options_.poll_tick);
+            if (!readable.ok()) break;
+            if (!*readable) continue;  // idle tick
+            auto frame = RecvFrame(fd.get(), options_.connect_deadline,
                                    kDefaultMaxFrameBytes);
-            if (!frame.ok()) {
-              if (IsDeadlineExceeded(frame.status())) continue;  // idle tick
-              break;  // torn stream
-            }
+            if (!frame.ok()) break;  // torn stream
             if (frame->header.type != MsgType::kNotifyEvt) {
               break;  // protocol violation; redial
             }

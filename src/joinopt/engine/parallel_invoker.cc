@@ -86,15 +86,31 @@ void ParallelInvoker::SubmitComp(Key key, std::string params) {
   ++stats_.submitted;
   uint64_t request_id = PlanRequestId(key, params);
   Shard& shard = ShardFor(key);
-  {
-    MutexLock lock(shard.mu);
-    ++shard.pending[request_id];
-  }
+  MutexLock lock(shard.mu);
+  // Registered before any work starts, as for a queued request: a
+  // concurrent FetchComp of this id waits for it, and Barrier counts it.
+  ++shard.pending[request_id];
   outstanding_.fetch_add(1, std::memory_order_acq_rel);
+  if (auto owner = InlineHitOwner(shard, key)) {
+    // A cached key: the join costs less than the worker handoff, so run
+    // the hit plan here.
+    ++stats_.served_inline;
+    Decision decision = DecideLocked(shard, key, *owner);
+    auto result = RunPlan(shard, key, params, *owner, decision,
+                          /*allow_defer=*/false);
+    FinishQueuedLocked(shard, request_id, std::move(*result));
+    lock.Unlock();
+    ReleaseOutstanding();
+    return;
+  }
+  lock.Unlock();
   if (!queue_.Push(WorkItem{key, std::move(params)})) {
     // Shutting down: withdraw the registration so fetchers don't wait.
-    FinishQueued(shard, request_id,
-                 Status::Aborted("invoker shutting down"));
+    lock.Relock();
+    FinishQueuedLocked(shard, request_id,
+                       Status::Aborted("invoker shutting down"));
+    lock.Unlock();
+    ReleaseOutstanding();
   }
 }
 
@@ -122,15 +138,26 @@ StatusOr<std::string> ParallelInvoker::FetchComp(Key key,
   // Never submitted (or its prefetch failed / was dropped): run the plan
   // in the caller (the blocking fallback).
   ++stats_.on_demand_runs;
-  auto result = ExecutePlan(key, params, /*allow_defer=*/false);
-  return std::move(*result);
+  NodeId owner = service_->OwnerOf(key);
+  MutexLock lock(shard.mu);
+  Decision decision = DecideLocked(shard, key, owner);
+  return std::move(*RunPlan(shard, key, params, owner, decision,
+                            /*allow_defer=*/false));
 }
 
 void ParallelInvoker::OnUpdate(Key key, uint64_t new_version) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   shard.engine->OnUpdateNotification(key, new_version);
-  shard.values.erase(key);
+  // Drop the payload only when it predates the update. A duplicate or late
+  // notification (every replica notifies, and a fetch may land the new
+  // version first) finds a fresh payload: the engine ignores it as stale
+  // and keeps the cache slot, and a slot without its payload would turn
+  // every later hit into a compute request.
+  auto it = shard.values.find(key);
+  if (it != shard.values.end() && it->second.version < new_version) {
+    shard.values.erase(it);
+  }
   uint64_t& floor = shard.min_version[key];
   if (new_version > floor) floor = new_version;
 }
@@ -144,12 +171,19 @@ int64_t ParallelInvoker::ResyncWhere(const std::function<bool(Key)>& pred) {
     // keys; payloads are a superset (a payload can outlive its tier slot),
     // so they get their own sweep.
     shard.engine->ResyncInvalidate(pred);
+    // A fetch already in flight may return a payload from before the missed
+    // update: it must not re-install it. Fetches issued from here on read
+    // the data node's current state, so unchanged keys stay cacheable.
+    for (Key key : shard.fetching) {
+      if (pred(key)) shard.resynced_fetches.insert(key);
+    }
     for (auto it = shard.values.begin(); it != shard.values.end();) {
       if (pred(it->first)) {
-        // Raise the version floor past the dropped copy so a fetch racing
-        // this re-sync cannot re-install the possibly-stale payload.
+        // A refetch may read a lagging replica: never accept a version
+        // older than the one already served. The same version stays
+        // cacheable, so unchanged keys are bought again.
         uint64_t& floor = shard.min_version[it->first];
-        if (it->second.version + 1 > floor) floor = it->second.version + 1;
+        if (it->second.version > floor) floor = it->second.version;
         it = shard.values.erase(it);
         ++dropped_payloads;
       } else {
@@ -187,24 +221,42 @@ void ParallelInvoker::WorkerLoop() {
 }
 
 void ParallelInvoker::ProcessQueued(const WorkItem& item) {
+  Shard& shard = ShardFor(item.key);
+  NodeId owner = service_->OwnerOf(item.key);
+  MutexLock lock(shard.mu);
+  Decision decision = DecideLocked(shard, item.key, owner);
+  auto result = RunPlan(shard, item.key, item.params, owner, decision,
+                        /*allow_defer=*/true);
   uint64_t request_id = PlanRequestId(item.key, item.params);
-  auto result = ExecutePlan(item.key, item.params, /*allow_defer=*/true);
-  if (!result) return;  // parked in a delegation batch; it will finish it
-  FinishQueued(ShardFor(item.key), request_id, std::move(*result));
+  if (result) {
+    FinishQueuedLocked(shard, request_id, std::move(*result));
+    lock.Unlock();
+    ReleaseOutstanding();
+    return;
+  }
+  // A compute request: park it in its destination's batch, whose flush
+  // records the result.
+  lock.Unlock();
+  AddDelegation(owner, Delegation{item.key, item.params, request_id});
 }
 
-std::optional<StatusOr<std::string>> ParallelInvoker::ExecutePlan(
-    Key key, const std::string& params, bool allow_defer) {
-  Shard& shard = ShardFor(key);
-  NodeId owner = service_->OwnerOf(key);
-  MutexLock lock(shard.mu);
+std::optional<NodeId> ParallelInvoker::InlineHitOwner(Shard& shard, Key key) {
+  auto it = shard.values.find(key);
+  if (it == shard.values.end() ||
+      shard.engine->cache().Peek(key) == CacheTier::kNone) {
+    return std::nullopt;
+  }
+  return it->second.owner;
+}
+
+Decision ParallelInvoker::DecideLocked(Shard& shard, Key key, NodeId owner) {
   MaybeTrim(shard);
   shard.engine->cost_model().SetBandwidth(owner,
                                           options_.bandwidth_bytes_per_sec);
-  // The access is counted exactly once, here. Every re-route below (after
-  // a coalesced wait, or when a plan leg falls through) goes through the
-  // const ReDecide or a manual route override so the frequency counter and
-  // benefit state see this request a single time — keeping ski-rental
+  // The access is counted exactly once, here. Every re-route in RunPlan
+  // (after a coalesced wait, or when a plan leg falls through) goes through
+  // the const ReDecide or a manual route override so the frequency counter
+  // and benefit state see this request a single time — keeping ski-rental
   // thresholds aligned with the single-threaded executor's.
   Decision decision = shard.engine->Decide(key, owner);
   if (options_.load_view != nullptr &&
@@ -215,6 +267,12 @@ std::optional<StatusOr<std::string>> ParallelInvoker::ExecutePlan(
         owner, shard.engine->cost_model().TCompute(owner),
         shard.engine->cost_model().TFetch(owner));
   }
+  return decision;
+}
+
+std::optional<StatusOr<std::string>> ParallelInvoker::RunPlan(
+    Shard& shard, Key key, const std::string& params, NodeId owner,
+    Decision decision, bool allow_defer) {
   bool held_first = false;
   for (;;) {
     switch (decision.route) {
@@ -229,10 +287,10 @@ std::optional<StatusOr<std::string>> ParallelInvoker::ExecutePlan(
           continue;
         }
         std::shared_ptr<const std::string> payload = it->second.value;
-        lock.Unlock();
+        shard.mu.Unlock();
         ++stats_.served_from_cache;
         TimedResult timed = TimedCompute(fn_, key, params, *payload);
-        lock.Relock();
+        shard.mu.Lock();
         shard.engine->ObserveLocalCompute(timed.elapsed);
         return StatusOr<std::string>(std::move(timed.value));
       }
@@ -246,20 +304,22 @@ std::optional<StatusOr<std::string>> ParallelInvoker::ExecutePlan(
           continue;  // usually a hit against the now-warm cache
         }
         shard.fetching.insert(key);
-        lock.Unlock();
+        shard.mu.Unlock();
         auto fetched = service_->Fetch(key);
-        lock.Relock();
+        shard.mu.Lock();
         shard.fetching.erase(key);
+        bool resynced = shard.resynced_fetches.erase(key) > 0;
         shard.cv.NotifyAll();
         if (!fetched.ok()) {
           return StatusOr<std::string>(fetched.status());
         }
         uint64_t version = fetched->version;
         auto floor = shard.min_version.find(key);
-        if (floor != shard.min_version.end() && version < floor->second) {
-          // The fetch raced an update notification and carried the old
-          // payload: never cache or serve it; compute next to the fresh
-          // data instead.
+        if (resynced ||
+            (floor != shard.min_version.end() && version < floor->second)) {
+          // The fetch raced an update notification (or a re-sync) and may
+          // carry the old payload: never cache or serve it; compute next
+          // to the fresh data instead.
           decision.route = Route::kComputeAtData;
           decision.first_request = false;
           continue;
@@ -268,11 +328,11 @@ std::optional<StatusOr<std::string>> ParallelInvoker::ExecutePlan(
         shard.engine->OnValueFetched(key, decision.route, size, version);
         auto payload = std::make_shared<const std::string>(
             std::move(fetched)->value);
-        shard.values[key] = CachedValue{payload, version};
-        lock.Unlock();
+        shard.values[key] = CachedValue{payload, version, owner};
+        shard.mu.Unlock();
         ++stats_.fetched_then_computed;
         TimedResult timed = TimedCompute(fn_, key, params, *payload);
-        lock.Relock();
+        shard.mu.Lock();
         shard.engine->ObserveLocalCompute(timed.elapsed);
         return StatusOr<std::string>(std::move(timed.value));
       }
@@ -288,16 +348,14 @@ std::optional<StatusOr<std::string>> ParallelInvoker::ExecutePlan(
           while (shard.delegating.count(key) > 0) {
             if (shard.cv.WaitFor(shard.mu, 200e-6) ==
                 std::cv_status::timeout) {
-              lock.Unlock();
+              shard.mu.Unlock();
               FlushDelegations(/*force=*/false);
-              lock.Relock();
+              shard.mu.Lock();
             }
           }
           decision = shard.engine->ReDecide(key, owner);
           continue;  // typically buys (fetch) now that costs are known
         }
-        ++shard.delegating[key];
-        lock.Unlock();
         return Delegate(shard, key, params, owner, allow_defer);
       }
     }
@@ -307,10 +365,9 @@ std::optional<StatusOr<std::string>> ParallelInvoker::ExecutePlan(
 std::optional<StatusOr<std::string>> ParallelInvoker::Delegate(
     Shard& shard, Key key, const std::string& params, NodeId owner,
     bool allow_defer) {
-  if (allow_defer) {
-    AddDelegation(owner, Delegation{key, params, PlanRequestId(key, params)});
-    return std::nullopt;
-  }
+  ++shard.delegating[key];
+  if (allow_defer) return std::nullopt;
+  shard.mu.Unlock();
   ++stats_.delegated;
   double t0 = PlanNowSeconds();
   auto result = service_->Execute(key, params, fn_);
@@ -318,14 +375,12 @@ std::optional<StatusOr<std::string>> ParallelInvoker::Delegate(
   StatusOr<DataService::ItemStat> stat =
       result.ok() ? service_->Stat(key)
                   : StatusOr<DataService::ItemStat>(result.status());
-  {
-    MutexLock lock(shard.mu);
-    if (stat.ok()) {
-      ApplyDelegationLearning(*shard.engine, key, owner, elapsed,
-                              stat->size_bytes, stat->version);
-    }
-    FinishDelegating(shard, key);
+  shard.mu.Lock();
+  if (stat.ok()) {
+    ApplyDelegationLearning(*shard.engine, key, owner, elapsed,
+                            stat->size_bytes, stat->version);
   }
+  FinishDelegating(shard, key);
   return result;
 }
 
@@ -383,8 +438,9 @@ void ParallelInvoker::ExecuteDelegationBatch(NodeId dest,
                                 stat->size_bytes, stat->version);
       }
       FinishDelegating(shard, d.key);
+      FinishQueuedLocked(shard, d.request_id, std::move(result));
     }
-    FinishQueued(shard, d.request_id, std::move(result));
+    ReleaseOutstanding();
   }
 }
 
@@ -416,24 +472,23 @@ void ParallelInvoker::FinishDelegating(Shard& shard, Key key) {
   shard.cv.NotifyAll();
 }
 
-void ParallelInvoker::FinishQueued(Shard& shard, uint64_t request_id,
-                                   StatusOr<std::string> result) {
-  if (!result.ok() && result.status().code() == StatusCode::kAborted) {
+void ParallelInvoker::FinishQueuedLocked(Shard& shard, uint64_t request_id,
+                                         StatusOr<std::string> result) {
+  if (result.ok()) {
+    shard.results.Push(request_id, std::move(result).value());
+  } else if (result.status().code() == StatusCode::kAborted) {
     ++stats_.transport_errors;
   }
-  {
-    MutexLock lock(shard.mu);
-    if (result.ok()) {
-      shard.results.Push(request_id, std::move(result).value());
-    }
-    // Failures leave no result: FetchComp's on-demand retry re-surfaces
-    // the error.
-    auto it = shard.pending.find(request_id);
-    if (it != shard.pending.end() && --it->second <= 0) {
-      shard.pending.erase(it);
-    }
-    shard.cv.NotifyAll();
+  // Failures leave no result: FetchComp's on-demand retry re-surfaces
+  // the error.
+  auto it = shard.pending.find(request_id);
+  if (it != shard.pending.end() && --it->second <= 0) {
+    shard.pending.erase(it);
   }
+  shard.cv.NotifyAll();
+}
+
+void ParallelInvoker::ReleaseOutstanding() {
   if (outstanding_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     MutexLock lock(barrier_mu_);
     barrier_cv_.NotifyAll();
@@ -460,6 +515,7 @@ ParallelInvokerStats ParallelInvoker::stats() const {
   out.submitted = stats_.submitted.load(std::memory_order_relaxed);
   out.served_from_cache =
       stats_.served_from_cache.load(std::memory_order_relaxed);
+  out.served_inline = stats_.served_inline.load(std::memory_order_relaxed);
   out.fetched_then_computed =
       stats_.fetched_then_computed.load(std::memory_order_relaxed);
   out.delegated = stats_.delegated.load(std::memory_order_relaxed);

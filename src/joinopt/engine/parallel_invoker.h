@@ -11,9 +11,15 @@
 //    model). Per-shard measurements are merged on read by the Merged*()
 //    accessors. No lock is ever held across a service call or a UDF
 //    execution.
-//  * SubmitComp enqueues into a bounded MPMC queue drained by a fixed
-//    worker pool; a full queue blocks the producer (backpressure instead
-//    of unbounded growth).
+//  * Cache hits run on the submitting thread. When SubmitComp finds the
+//    key's payload and cache-tier slot both present, it runs the hit plan
+//    itself, deciding with the owner recorded at fetch time: a hit needs
+//    no wire, and handing it to a worker cost more than the join
+//    (DESIGN.md §9).
+//  * Every other submission enqueues into a bounded MPMC queue drained by
+//    a fixed worker pool; a full queue blocks the producer (backpressure
+//    instead of unbounded growth). The worker pool thus carries the
+//    requests that need the wire: data requests and compute requests.
 //  * Duplicate in-flight *fetches* of the same key coalesce (single
 //    flight): the second requester waits for the first fetch to land and
 //    then re-routes via the engine's const ReDecide (the access was
@@ -25,11 +31,15 @@
 //    the same BatchSizer the simulator's Batcher uses, and go out through
 //    DataService::ExecuteBatch (one round trip per batch).
 //
+// Each request is decided exactly once (one DecisionEngine::Decide call,
+// on whichever thread runs its plan), so frequency counts and ski-rental
+// thresholds match the single-threaded executor's.
+//
 // Determinism: with workers, completion *order* across keys is
 // scheduling-dependent, so cross-key decision sequences (and therefore
 // exact cache contents) are not deterministic. With num_threads = 1 and
 // num_shards = 1, a caller that uses only FetchComp gets the deterministic
-// single-threaded executor: every request runs ExecutePlan inline on the
+// single-threaded executor: every request runs its plan inline on the
 // caller's thread against one engine, delegations unbatched.
 #ifndef JOINOPT_ENGINE_PARALLEL_INVOKER_H_
 #define JOINOPT_ENGINE_PARALLEL_INVOKER_H_
@@ -90,6 +100,9 @@ struct ParallelInvokerOptions {
 struct ParallelInvokerStats {
   int64_t submitted = 0;
   int64_t served_from_cache = 0;
+  /// Cache hits SubmitComp ran on the submitting thread instead of
+  /// queueing them for a worker (a subset of served_from_cache).
+  int64_t served_inline = 0;
   int64_t fetched_then_computed = 0;
   int64_t delegated = 0;
   /// Fetches that coalesced onto another in-flight fetch of the same key.
@@ -126,8 +139,10 @@ class ParallelInvoker {
   ParallelInvoker(const ParallelInvoker&) = delete;
   ParallelInvoker& operator=(const ParallelInvoker&) = delete;
 
-  /// preMap (Figure 10's submitComp). Thread-safe; blocks only when the
-  /// prefetch queue is full.
+  /// preMap (Figure 10's submitComp). Thread-safe. A cache hit runs to
+  /// completion on the calling thread, so the call lasts one UDF
+  /// execution; any other request is queued for a worker, blocking only
+  /// while the prefetch queue is full.
   void SubmitComp(Key key, std::string params);
 
   /// map (Figure 10's fetchComp). Thread-safe. Waits for an in-flight
@@ -172,6 +187,12 @@ class ParallelInvoker {
   struct CachedValue {
     std::shared_ptr<const std::string> value;
     uint64_t version = 0;
+    /// The key's owner when the payload was fetched. An inline hit
+    /// decides with it instead of a fresh OwnerOf, which can be a round
+    /// trip; for a hit the owner only weights the cache benefit (a
+    /// promotion since the fetch shifts that weight until the next
+    /// fetch), and nothing is routed to it.
+    NodeId owner = kInvalidNode;
   };
 
   struct Shard {
@@ -192,9 +213,14 @@ class ParallelInvoker {
     /// Keys with delegations in flight (count: duplicates each delegate
     /// once bought-in, but first-requests hold while this is non-zero).
     std::unordered_map<Key, int> delegating JOINOPT_GUARDED_BY(mu);
-    /// Floor on acceptable fetched versions, set by OnUpdate: a fetch
-    /// that raced an update and returned an older version is not cached.
+    /// Floor on acceptable fetched versions, set by OnUpdate (the new
+    /// version) and ResyncWhere (the dropped payload's version): a fetch
+    /// that raced an update, or read a lagging replica, and returned an
+    /// older version is neither cached nor served.
     std::unordered_map<Key, uint64_t> min_version JOINOPT_GUARDED_BY(mu);
+    /// Keys whose fetch was in flight when ResyncWhere covered them: the
+    /// payload it returns may predate a missed update, so it is not cached.
+    std::unordered_set<Key> resynced_fetches JOINOPT_GUARDED_BY(mu);
     int64_t runs_since_trim JOINOPT_GUARDED_BY(mu) = 0;
   };
 
@@ -227,18 +253,35 @@ class ParallelInvoker {
   void WorkerLoop();
   /// Runs one queued submission end to end (result recorded in the shard).
   void ProcessQueued(const WorkItem& item);
-  /// Executes the optimizer's plan. When `allow_defer` and the plan is a
-  /// compute request, the delegation is buffered for batching and nullopt
-  /// is returned (the batch flush will record the result).
-  std::optional<StatusOr<std::string>> ExecutePlan(Key key,
-                                                   const std::string& params,
-                                                   bool allow_defer);
-  /// The compute-request leg of the plan: batched when deferral is
-  /// allowed, otherwise executed inline with cost learning.
+  /// When SubmitComp may run `key`'s request inline — the payload and its
+  /// cache-tier slot are both present, so Decide will route a hit — the
+  /// owner the payload was fetched from; nullopt otherwise. Reads only;
+  /// counts nothing.
+  static std::optional<NodeId> InlineHitOwner(Shard& shard, Key key)
+      JOINOPT_REQUIRES(shard.mu);
+  /// The request's single counted access: trims the payload map now and
+  /// then, refreshes the bandwidth prior and routes through Decide.
+  Decision DecideLocked(Shard& shard, Key key, NodeId owner)
+      JOINOPT_REQUIRES(shard.mu);
+  /// Executes a decided plan. Entered and left holding shard.mu, which is
+  /// released around every service call and UDF execution. When
+  /// `allow_defer` and the plan is a compute request, nullopt is returned
+  /// with the key marked delegating: the caller drops the lock and hands
+  /// the request to AddDelegation, whose batch flush records the result.
+  std::optional<StatusOr<std::string>> RunPlan(Shard& shard, Key key,
+                                               const std::string& params,
+                                               NodeId owner, Decision decision,
+                                               bool allow_defer)
+      JOINOPT_REQUIRES(shard.mu);
+  /// The compute-request leg of the plan: marks the key delegating, then
+  /// returns nullopt when deferral is allowed (see RunPlan), otherwise
+  /// executes inline with cost learning. Like RunPlan, entered and left
+  /// holding shard.mu.
   std::optional<StatusOr<std::string>> Delegate(Shard& shard, Key key,
                                                 const std::string& params,
                                                 NodeId owner,
-                                                bool allow_defer);
+                                                bool allow_defer)
+      JOINOPT_REQUIRES(shard.mu);
   /// Buffers a delegation; executes the destination's batch when full.
   void AddDelegation(NodeId dest, Delegation d) JOINOPT_EXCLUDES(deleg_mu_);
   /// Ships one destination's batch through ExecuteBatch and records the
@@ -253,10 +296,14 @@ class ParallelInvoker {
   /// locks while shipping, so callers waiting on a shard drop its lock
   /// first.
   void FlushDelegations(bool force) JOINOPT_EXCLUDES(deleg_mu_);
-  /// Records a finished queued submission (result or failure) and wakes
-  /// fetchers / the barrier.
-  void FinishQueued(Shard& shard, uint64_t request_id,
-                    StatusOr<std::string> result) JOINOPT_EXCLUDES(shard.mu);
+  /// Records a finished submission (result or failure) and wakes fetchers;
+  /// the caller then drops the lock and calls ReleaseOutstanding.
+  void FinishQueuedLocked(Shard& shard, uint64_t request_id,
+                          StatusOr<std::string> result)
+      JOINOPT_REQUIRES(shard.mu);
+  /// Retires one submission from the Barrier count (after its result is
+  /// recorded, so a returning Barrier finds every result claimable).
+  void ReleaseOutstanding();
   void MaybeTrim(Shard& shard) JOINOPT_REQUIRES(shard.mu);
 
   DataService* service_;
@@ -280,6 +327,7 @@ class ParallelInvoker {
   struct AtomicStats {
     std::atomic<int64_t> submitted{0};
     std::atomic<int64_t> served_from_cache{0};
+    std::atomic<int64_t> served_inline{0};
     std::atomic<int64_t> fetched_then_computed{0};
     std::atomic<int64_t> delegated{0};
     std::atomic<int64_t> coalesced_fetches{0};

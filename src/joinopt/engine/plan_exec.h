@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -77,13 +78,27 @@ inline void ApplyDelegationLearning(DecisionEngine& engine, Key key,
 /// `max_unclaimed` entries, everything older than the most recent
 /// max_unclaimed/2 submissions is dropped (an age sweep, amortized O(1)
 /// per push). 0 = unbounded. Not thread-safe; callers lock.
+///
+/// A request id's oldest result is stored in its map node; only further
+/// results for the same id (duplicate submissions) spill into a per-id
+/// queue. A result thus costs one node, not a node plus a std::deque's
+/// map and 512-byte block.
 class BoundedResultMap {
  public:
   explicit BoundedResultMap(size_t max_unclaimed)
       : max_(max_unclaimed) {}
 
   void Push(uint64_t request_id, std::string value) {
-    entries_[request_id].push_back(Entry{std::move(value), seq_++});
+    Entry entry{std::move(value), seq_++};
+    auto [it, inserted] = entries_.try_emplace(request_id);
+    if (inserted) {
+      it->second.head = std::move(entry);
+    } else {
+      if (!it->second.spill) {
+        it->second.spill = std::make_unique<std::deque<Entry>>();
+      }
+      it->second.spill->push_back(std::move(entry));
+    }
     ++size_;
     if (max_ > 0 && size_ > max_) Sweep();
   }
@@ -91,10 +106,9 @@ class BoundedResultMap {
   /// Claims the oldest unclaimed result for `request_id` (FIFO per id).
   std::optional<std::string> Claim(uint64_t request_id) {
     auto it = entries_.find(request_id);
-    if (it == entries_.end() || it->second.empty()) return std::nullopt;
-    std::string out = std::move(it->second.front().value);
-    it->second.pop_front();
-    if (it->second.empty()) entries_.erase(it);
+    if (it == entries_.end()) return std::nullopt;
+    std::string out = std::move(it->second.head.value);
+    if (!PopHead(it->second)) entries_.erase(it);
     --size_;
     return out;
   }
@@ -105,23 +119,38 @@ class BoundedResultMap {
  private:
   struct Entry {
     std::string value;
-    int64_t seq;
+    int64_t seq = 0;
   };
+
+  /// One request id's unclaimed results, oldest first.
+  struct Slot {
+    Entry head;
+    std::unique_ptr<std::deque<Entry>> spill;  ///< null until a duplicate
+  };
+
+  /// Drops the slot's head, promoting the next spilled result; false when
+  /// the slot is now empty.
+  static bool PopHead(Slot& slot) {
+    if (!slot.spill || slot.spill->empty()) return false;
+    slot.head = std::move(slot.spill->front());
+    slot.spill->pop_front();
+    return true;
+  }
 
   void Sweep() {
     int64_t cutoff = seq_ - static_cast<int64_t>(max_ / 2 + 1);
     for (auto it = entries_.begin(); it != entries_.end();) {
-      std::deque<Entry>& fifo = it->second;
-      while (!fifo.empty() && fifo.front().seq < cutoff) {
-        fifo.pop_front();
+      bool live = true;
+      while (live && it->second.head.seq < cutoff) {
+        live = PopHead(it->second);
         --size_;
         ++dropped_;
       }
-      it = fifo.empty() ? entries_.erase(it) : std::next(it);
+      it = live ? std::next(it) : entries_.erase(it);
     }
   }
 
-  std::unordered_map<uint64_t, std::deque<Entry>> entries_;
+  std::unordered_map<uint64_t, Slot> entries_;
   size_t max_;
   size_t size_ = 0;
   int64_t seq_ = 0;

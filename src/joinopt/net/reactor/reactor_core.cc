@@ -412,9 +412,14 @@ void ReactorCore::TryFlush(Loop& loop,
     // Injected half-open partition: this fd's transmit direction is
     // black-holed, so frames must not reach the kernel. Tear the
     // connection down instead — parity with the threaded backend, whose
-    // SendAll performs the same check before every write.
+    // SendAll performs the same check before every write. Only a flush
+    // with something to send writes: the one that follows each read must
+    // not tear down before the requests it just posted are served.
     NetFaultInjector& nf = NetFaultInjector::Instance();
-    if (nf.faults_active() && !nf.CheckSend(conn->fd_.get()).ok()) {
+    if (nf.faults_active() &&
+        (!conn->write_queue_.empty() ||
+         (conn->subscribed_ && !conn->pending_notifies_.empty())) &&
+        !nf.CheckSend(conn->fd_.get()).ok()) {
       close_now = true;
     }
 

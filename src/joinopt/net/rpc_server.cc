@@ -309,6 +309,8 @@ void RpcServer::ServeSubscription(int fd, const FrameHeader& header,
       if (failed) break;
       // The client never sends on a subscription stream: readability
       // means close (or a protocol violation) — either way, stop pushing.
+      // Checked without waiting: the sink's Drain above is the loop's only
+      // wait, so events keep flowing while the subscriber stays quiet.
       auto readable = WaitReadable(fd, 0);
       if (readable.ok() && *readable) {
         char probe[64];

@@ -235,8 +235,7 @@ StatusOr<uint16_t> BoundPort(int fd) {
 StatusOr<bool> WaitReadable(int fd, double deadline_sec) {
   pollfd pfd{fd, POLLIN, 0};
   int timeout_ms =
-      deadline_sec <= 0 ? -1
-                        : static_cast<int>(deadline_sec * 1e3) + 1;
+      deadline_sec <= 0 ? 0 : static_cast<int>(deadline_sec * 1e3) + 1;
   int rc = ::poll(&pfd, 1, timeout_ms);
   if (rc < 0) {
     if (errno == EINTR) return false;

@@ -97,7 +97,8 @@ StatusOr<UniqueFd> TcpListen(const std::string& host, uint16_t port,
 StatusOr<uint16_t> BoundPort(int fd);
 
 /// Waits up to deadline_sec for `fd` to become readable. Returns true if
-/// readable, false on timeout.
+/// readable, false on timeout. A deadline <= 0 polls once without
+/// waiting; there is no "wait forever" value.
 StatusOr<bool> WaitReadable(int fd, double deadline_sec);
 
 Status SendAll(int fd, const void* data, size_t len, double deadline_sec);

@@ -5,6 +5,8 @@
 // no-stale-read guarantee across reconnects.
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+
 #include <chrono>
 #include <functional>
 #include <memory>
@@ -103,6 +105,117 @@ TEST(SubscriberTest, RawSubscribeDeliversSnapshotThenInOrderEvents) {
   EXPECT_EQ(event->region, deploy.topology().RegionOf(key));
   EXPECT_EQ(event->epoch, 1u);
   EXPECT_EQ(event->seq, 1u);
+}
+
+TEST(SubscriberTest, NotifyKeepsFlowingAfterFirstBatch) {
+  // A quiet subscriber must keep receiving pushes: between batches the
+  // server checks the stream for a hang-up, and that check must not wait
+  // for the (never-sending) subscriber. Each write below lands after the
+  // server's idle tick has expired at least once, so every event is its
+  // own Notify batch.
+  ClusterDeployment deploy(EchoFn(), SmallOptions(1));
+  ASSERT_TRUE(deploy.Start().ok());
+  RpcEndpoint ep = deploy.topology().endpoint(0);
+  auto conn = TcpConnect(ep.host, ep.port, 1.0);
+  ASSERT_TRUE(conn.ok()) << conn.status();
+  ASSERT_TRUE(SendFrame(conn->get(), MsgType::kSubscribeReq, 1,
+                        EncodeSubscribeRequest(7), 1.0,
+                        kDefaultMaxFrameBytes)
+                  .ok());
+  auto resp = RecvFrame(conn->get(), 2.0, kDefaultMaxFrameBytes);
+  ASSERT_TRUE(resp.ok()) << resp.status();
+  ASSERT_EQ(resp->header.type, MsgType::kSubscribeResp);
+
+  constexpr int kBatchesAfterFirst = 3;
+  const auto start = std::chrono::steady_clock::now();
+  for (int batch = 0; batch <= kBatchesAfterFirst; ++batch) {
+    if (batch > 0) std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    Key key = static_cast<Key>(10 + batch);
+    auto version = deploy.Seed(key, "v" + std::to_string(batch));
+    ASSERT_TRUE(version.ok()) << version.status();
+    double left = 2.0 - std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count();
+    ASSERT_GT(left, 0.0) << "out of time before batch " << batch;
+    auto evt = RecvFrame(conn->get(), left, kDefaultMaxFrameBytes);
+    ASSERT_TRUE(evt.ok()) << "batch " << batch << ": " << evt.status();
+    ASSERT_EQ(evt->header.type, MsgType::kNotifyEvt);
+    auto event = DecodeNotifyEvent(evt->body);
+    ASSERT_TRUE(event.ok()) << event.status();
+    EXPECT_EQ(event->key, key);
+    EXPECT_EQ(event->version, *version);
+  }
+}
+
+TEST(SubscriberTest, FrameSplitAcrossIdleTicksKeepsTheStream) {
+  // A fake data node sends one Notify frame's header, then its body only
+  // after several of the subscriber's idle ticks, then a second event.
+  // A tick expiring mid-frame must not desynchronize the stream: both
+  // events arrive in order, with no redial and no re-sync.
+  ClusterTopologyConfig config;
+  config.num_data_nodes = 1;
+  config.replication_factor = 1;
+  ClusterTopology topology(config);
+  auto listener = TcpListen("127.0.0.1", 0, 4);
+  ASSERT_TRUE(listener.ok()) << listener.status();
+  auto port = BoundPort(listener->get());
+  ASSERT_TRUE(port.ok());
+  topology.SetEndpoint(0, RpcEndpoint{"127.0.0.1", *port});
+
+  std::thread node([&] {
+    auto readable = WaitReadable(listener->get(), 5.0);
+    ASSERT_TRUE(readable.ok() && *readable);
+    UniqueFd conn(::accept(listener->get(), nullptr, nullptr));
+    ASSERT_GE(conn.get(), 0);
+    auto req = RecvFrame(conn.get(), 2.0, kDefaultMaxFrameBytes);
+    ASSERT_TRUE(req.ok()) << req.status();
+    std::vector<RegionEpoch> snapshot;
+    for (int r = 0; r < topology.num_regions(); ++r) {
+      snapshot.push_back(RegionEpoch{r, 1, 0});
+    }
+    ASSERT_TRUE(SendFrame(conn.get(), MsgType::kSubscribeResp,
+                          req->header.seq, EncodeSubscribeResponse(snapshot),
+                          1.0, kDefaultMaxFrameBytes)
+                    .ok());
+    auto first = BuildFrame(MsgType::kNotifyEvt, 0,
+                            EncodeNotifyEvent(UpdateEvent{0, 1, 1, 7, 2}),
+                            kDefaultMaxFrameBytes);
+    auto second = BuildFrame(MsgType::kNotifyEvt, 1,
+                             EncodeNotifyEvent(UpdateEvent{0, 1, 2, 8, 3}),
+                             kDefaultMaxFrameBytes);
+    ASSERT_TRUE(first.ok() && second.ok());
+    ASSERT_TRUE(
+        SendAll(conn.get(), first->data(), kFrameHeaderBytes, 1.0).ok());
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    ASSERT_TRUE(SendAll(conn.get(), first->data() + kFrameHeaderBytes,
+                        first->size() - kFrameHeaderBytes, 1.0)
+                    .ok());
+    ASSERT_TRUE(SendAll(conn.get(), second->data(), second->size(), 1.0).ok());
+    // Hold the stream open until the subscriber hangs up.
+    char byte;
+    (void)RecvAll(conn.get(), &byte, 1, 3.0);
+  });
+
+  std::vector<Key> delivered;
+  Mutex delivered_mu;
+  UpdateSubscriberOptions options = FastSubscriber();
+  UpdateSubscriber subscriber(
+      &topology, {0},
+      [&](Key key, uint64_t) {
+        MutexLock lock(delivered_mu);
+        delivered.push_back(key);
+      },
+      [](NodeId, int) { return int64_t{0}; }, options);
+  EXPECT_TRUE(WaitFor([&] { return subscriber.stats().notifications >= 2; },
+                      2.0));
+  subscriber.Stop();
+  node.join();
+  UpdateSubscriberStats stats = subscriber.stats();
+  EXPECT_EQ(stats.notifications, 2);
+  EXPECT_EQ(stats.reconnects, 0);
+  EXPECT_EQ(stats.resyncs, 0);
+  MutexLock lock(delivered_mu);
+  EXPECT_EQ(delivered, (std::vector<Key>{7, 8}));
 }
 
 TEST(SubscriberTest, NotificationsReachTheInvokerAndKillStaleReads) {

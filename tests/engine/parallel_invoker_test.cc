@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "joinopt/common/random.h"
 #include "joinopt/engine/bounded_queue.h"
 #include "joinopt/engine/latency_service.h"
 #include "joinopt/engine/plan_exec.h"
@@ -126,6 +127,25 @@ TEST(BoundedResultMapTest, DropsOldestWhenOverBound) {
   EXPECT_GE(map.dropped(), 32);
   EXPECT_FALSE(map.Claim(0).has_value());   // oldest swept
   EXPECT_EQ(*map.Claim(39), "v39");         // newest survives
+}
+
+TEST(BoundedResultMapTest, DuplicateIdsKeepFifoAcrossSweep) {
+  // Id 7's first result sits in its map node, the later two spill; the
+  // age sweep must drop only the too-old head and promote the spill.
+  BoundedResultMap map(8);
+  map.Push(7, "a");  // seq 0
+  for (uint64_t id = 1; id <= 5; ++id) map.Push(id, "x");  // seq 1..5
+  map.Push(7, "b");  // seq 6
+  map.Push(7, "c");  // seq 7
+  map.Push(6, "y");  // seq 8: 9 entries > 8, sweep drops seq < 4
+  EXPECT_EQ(map.dropped(), 4);
+  EXPECT_EQ(map.size(), 5u);
+  EXPECT_EQ(*map.Claim(7), "b");
+  EXPECT_EQ(*map.Claim(7), "c");
+  EXPECT_FALSE(map.Claim(7).has_value());
+  EXPECT_FALSE(map.Claim(1).has_value());
+  EXPECT_EQ(*map.Claim(4), "x");
+  EXPECT_EQ(map.size(), 2u);
 }
 
 TEST(ParallelInvokerTest, FetchCompComputesCorrectValue) {
@@ -260,6 +280,33 @@ TEST(ParallelInvokerTest, UpdateInvalidatesCachedPayload) {
   EXPECT_EQ(*r, "5:p:new-data");  // never serves the stale payload
 }
 
+TEST(ParallelInvokerTest, DuplicateUpdateKeepsTheFreshPayload) {
+  // Every replica notifies each write, so the same version arrives twice;
+  // by the second notice the new value may already be cached again. It
+  // must stay servable, not fall back to a compute request per access.
+  ApiRig rig;
+  rig.Put(5, "old");
+  ParallelInvoker invoker(rig.service.get(), Concat(), FastBuyOptions(1));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(invoker.FetchComp(5, "p").ok());
+  auto update = rig.store->Update(5, [](StoredItem& item) {
+    item.payload = "new";
+    item.size_bytes = 3;
+  });
+  ASSERT_TRUE(update.ok());
+  invoker.OnUpdate(5, update->new_version);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(invoker.FetchComp(5, "p").ok());
+  invoker.OnUpdate(5, update->new_version);  // the second replica's notice
+  const int64_t hits = invoker.stats().served_from_cache;
+  const int64_t executes = rig.service->executes();
+  for (int i = 0; i < 10; ++i) {
+    auto r = invoker.FetchComp(5, "p");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, "5:p:new");
+  }
+  EXPECT_EQ(invoker.stats().served_from_cache - hits, 10);
+  EXPECT_EQ(rig.service->executes(), executes);
+}
+
 TEST(ParallelInvokerTest, InFlightFetchesCoalesce) {
   ApiRig rig;
   rig.Put(5, std::string(4096, 'm'));
@@ -355,6 +402,229 @@ TEST(ParallelInvokerTest, ConcurrentSubmittersAndFetchers) {
   invoker.Barrier();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(invoker.stats().submitted, kThreads * kOpsPerThread);
+}
+
+/// `n` zipf(0.99)-distributed keys over [0, universe).
+std::vector<Key> ZipfTrace(uint64_t universe, int n, uint64_t seed) {
+  Rng rng(seed);
+  ZipfDistribution zipf(universe, 0.99);
+  std::vector<Key> trace;
+  for (int i = 0; i < n; ++i) {
+    trace.push_back(static_cast<Key>(zipf.Sample(rng)));
+  }
+  return trace;
+}
+
+int64_t Decisions(const DecisionEngineStats& s) {
+  return s.local_memory_hits + s.local_disk_hits + s.fetch_memory +
+         s.fetch_disk + s.compute_requests;
+}
+
+TEST(ParallelInvokerTest, EachAccessIsDecidedOnce) {
+  // Inline hits and queued requests each make exactly one Decide call, so
+  // the engine's decisions add up to the submissions.
+  ApiRig rig;
+  for (Key k = 0; k < 256; ++k) rig.Put(k, "v" + std::to_string(k));
+  ParallelInvoker invoker(rig.service.get(), Concat(), FastBuyOptions(4));
+  std::vector<Key> trace = ZipfTrace(256, 4000, 11);
+  constexpr size_t kWindow = 64;
+  for (size_t i = 0; i < trace.size(); i += kWindow) {
+    size_t end = std::min(i + kWindow, trace.size());
+    for (size_t j = i; j < end; ++j) {
+      invoker.SubmitComp(trace[j], std::to_string(j));
+    }
+    for (size_t j = i; j < end; ++j) {
+      auto r = invoker.FetchComp(trace[j], std::to_string(j));
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(*r, std::to_string(trace[j]) + ":" + std::to_string(j) +
+                        ":v" + std::to_string(trace[j]));
+    }
+  }
+  invoker.Barrier();
+  ParallelInvokerStats s = invoker.stats();
+  EXPECT_EQ(s.submitted, static_cast<int64_t>(trace.size()));
+  EXPECT_EQ(s.on_demand_runs, 0);
+  EXPECT_GT(s.served_inline, 0);
+  EXPECT_EQ(Decisions(invoker.MergedEngineStats()), s.submitted);
+}
+
+TEST(ParallelInvokerTest, InlineHitsKeepSingleShardHitRate) {
+  // The one-shard executor routes the same trace the same way whether its
+  // hits run inline (SubmitComp then FetchComp) or in FetchComp alone.
+  // Fetching is outright cheaper than computing here (in-process data
+  // node, 1 GB/s modeled bandwidth), so ski-rental buys on each key's
+  // second access and the decision sequence does not depend on timing.
+  std::vector<Key> trace = ZipfTrace(128, 3000, 5);
+  auto run = [&trace](bool submit) {
+    ApiRig rig;
+    for (Key k = 0; k < 128; ++k) rig.Put(k, "v" + std::to_string(k));
+    ParallelInvokerOptions opt = FastBuyOptions(1);
+    opt.num_shards = 1;
+    ParallelInvoker invoker(rig.service.get(), Concat(), opt);
+    for (size_t i = 0; i < trace.size(); ++i) {
+      if (submit) invoker.SubmitComp(trace[i], "p");
+      EXPECT_TRUE(invoker.FetchComp(trace[i], "p").ok());
+    }
+    return std::make_pair(invoker.stats(), invoker.MergedEngineStats());
+  };
+  auto [fetch_only, fetch_only_engine] = run(false);
+  auto [submitted, submitted_engine] = run(true);
+  EXPECT_EQ(fetch_only.served_inline, 0);
+  EXPECT_GT(submitted.served_inline, 0);
+  EXPECT_EQ(submitted.on_demand_runs, 0);
+  EXPECT_EQ(submitted.served_from_cache, fetch_only.served_from_cache);
+  EXPECT_EQ(submitted_engine.local_memory_hits,
+            fetch_only_engine.local_memory_hits);
+  EXPECT_EQ(submitted_engine.fetch_memory, fetch_only_engine.fetch_memory);
+  EXPECT_EQ(submitted_engine.compute_requests,
+            fetch_only_engine.compute_requests);
+  std::set<Key> distinct(trace.begin(), trace.end());
+  EXPECT_EQ(fetch_only_engine.first_requests,
+            static_cast<int64_t>(distinct.size()));
+}
+
+TEST(ParallelInvokerTest, FetchRacingAnInlineHitWaitsForIt) {
+  ApiRig rig;
+  rig.Put(5, "v");
+  std::atomic<bool> in_udf{false};
+  std::atomic<bool> release{false};
+  UserFn gated = [&](Key key, const std::string& params,
+                     const std::string& value) {
+    if (params == "gated") {
+      in_udf.store(true);
+      while (!release.load()) std::this_thread::yield();
+    }
+    return std::to_string(key) + ":" + params + ":" + value;
+  };
+  ParallelInvoker invoker(rig.service.get(), gated, FastBuyOptions(2));
+  // The first access delegates and the second buys; warm until a submit
+  // has run inline.
+  for (int i = 0; i < 100 && invoker.stats().served_inline == 0; ++i) {
+    invoker.SubmitComp(5, "warm");
+    ASSERT_TRUE(invoker.FetchComp(5, "warm").ok());
+  }
+  ASSERT_GT(invoker.stats().served_inline, 0);
+  const int64_t served_inline = invoker.stats().served_inline;
+  const int64_t on_demand = invoker.stats().on_demand_runs;
+
+  std::thread submitter([&] { invoker.SubmitComp(5, "gated"); });
+  while (!in_udf.load()) std::this_thread::yield();
+  std::atomic<bool> fetched{false};
+  StatusOr<std::string> got = Status::Internal("unset");
+  std::thread fetcher([&] {
+    got = invoker.FetchComp(5, "gated");
+    fetched.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  EXPECT_FALSE(fetched.load());  // waiting on the inline hit
+  release.store(true);
+  submitter.join();
+  fetcher.join();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(*got, "5:gated:v");
+  EXPECT_EQ(invoker.stats().served_inline, served_inline + 1);
+  EXPECT_EQ(invoker.stats().on_demand_runs, on_demand);
+}
+
+TEST(ParallelInvokerTest, SubmitAfterOnUpdateNeverServesOldPayload) {
+  ApiRig rig;
+  rig.Put(5, "v0");
+  ParallelInvoker invoker(rig.service.get(), Concat(), FastBuyOptions(2));
+  for (int round = 1; round <= 10; ++round) {
+    // Re-warm until the submit path serves key 5 inline.
+    const int64_t inline_before = invoker.stats().served_inline;
+    for (int i = 0; i < 100 && invoker.stats().served_inline == inline_before;
+         ++i) {
+      invoker.SubmitComp(5, "warm");
+      ASSERT_TRUE(invoker.FetchComp(5, "warm").ok());
+    }
+    ASSERT_GT(invoker.stats().served_inline, inline_before)
+        << "round " << round << ": key 5 never served inline";
+    auto update = rig.store->Update(5, [round](StoredItem& item) {
+      item.payload = "v" + std::to_string(round);
+      item.size_bytes = static_cast<double>(item.payload.size());
+    });
+    ASSERT_TRUE(update.ok());
+    invoker.OnUpdate(5, update->new_version);
+    invoker.SubmitComp(5, "read");
+    auto r = invoker.FetchComp(5, "read");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, "5:read:v" + std::to_string(round));
+  }
+}
+
+TEST(ParallelInvokerTest, HitsRunInlineMissesQueue) {
+  // Every cache hit runs on the submitter, however slow its UDF; a
+  // request that needs the wire goes to a worker.
+  ApiRig rig;
+  rig.Put(5, "v");
+  rig.Put(6, "w");
+  ParallelInvoker invoker(rig.service.get(), SpinningConcat(50e-6),
+                          FastBuyOptions(2));
+  invoker.SubmitComp(5, "first");  // never seen: a compute request
+  ASSERT_TRUE(invoker.FetchComp(5, "first").ok());
+  EXPECT_EQ(invoker.stats().served_inline, 0);
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(invoker.FetchComp(5, "w").ok());
+  const int64_t hits = invoker.stats().served_from_cache;
+  const int64_t on_demand = invoker.stats().on_demand_runs;
+  ASSERT_GT(hits, 0) << "key 5 was never bought";
+  for (int i = 0; i < 20; ++i) {
+    invoker.SubmitComp(5, std::to_string(i));
+    auto r = invoker.FetchComp(5, std::to_string(i));
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, "5:" + std::to_string(i) + ":v");
+  }
+  invoker.SubmitComp(6, "cold");  // a miss on the same invoker queues
+  ASSERT_TRUE(invoker.FetchComp(6, "cold").ok());
+  ParallelInvokerStats s = invoker.stats();
+  EXPECT_EQ(s.served_inline, 20);
+  EXPECT_EQ(s.served_from_cache - hits, 20);
+  EXPECT_EQ(s.on_demand_runs, on_demand);
+}
+
+/// Counts OwnerOf calls, which are a round trip on socket-backed services.
+class OwnerCountingService : public DataService {
+ public:
+  explicit OwnerCountingService(DataService* inner) : inner_(inner) {}
+
+  StatusOr<Fetched> Fetch(Key key) override { return inner_->Fetch(key); }
+  StatusOr<std::string> Execute(Key key, const std::string& params,
+                                const UserFn& fn) override {
+    return inner_->Execute(key, params, fn);
+  }
+  StatusOr<ItemStat> Stat(Key key) const override {
+    return inner_->Stat(key);
+  }
+  NodeId OwnerOf(Key key) const override {
+    ++owner_lookups;
+    return inner_->OwnerOf(key);
+  }
+
+  mutable std::atomic<int> owner_lookups{0};
+
+ private:
+  DataService* inner_;
+};
+
+TEST(ParallelInvokerTest, InlineHitsMakeNoOwnerLookup) {
+  // An inline hit decides with the owner its payload was fetched from,
+  // so the submitting thread never waits on a placement round trip.
+  ApiRig rig;
+  rig.Put(5, "v");
+  rig.Put(6, "w");
+  OwnerCountingService service(rig.service.get());
+  ParallelInvoker invoker(&service, Concat(), FastBuyOptions(2));
+  for (int i = 0; i < 3; ++i) ASSERT_TRUE(invoker.FetchComp(5, "w").ok());
+  const int lookups = service.owner_lookups.load();
+  for (int i = 0; i < 20; ++i) {
+    invoker.SubmitComp(5, std::to_string(i));
+    ASSERT_TRUE(invoker.FetchComp(5, std::to_string(i)).ok());
+  }
+  EXPECT_EQ(invoker.stats().served_inline, 20);
+  EXPECT_EQ(service.owner_lookups.load(), lookups);
+  invoker.SubmitComp(6, "cold");  // a queued request looks its owner up
+  invoker.Barrier();
+  EXPECT_EQ(service.owner_lookups.load(), lookups + 1);
 }
 
 /// Serializes every store access behind one mutex: the backing stores are
@@ -482,6 +752,93 @@ TEST(ParallelInvokerTest, ResyncWhereDropsStalePayloadsAndRefetches) {
   // Re-syncing an already-clean key drops nothing.
   EXPECT_EQ(invoker.ResyncWhere([](Key k) { return k == 99; }), 0);
   EXPECT_EQ(invoker.stats().resync_dropped, 1);
+}
+
+TEST(ParallelInvokerTest, ResyncLeavesUnchangedKeysCacheable) {
+  // A re-sync drops the cached copy, but a key that did not change must
+  // be bought again on its next accesses, not delegated forever.
+  ApiRig rig;
+  rig.Put(1, "same");
+  ParallelInvoker invoker(rig.service.get(), Concat(), FastBuyOptions(1));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(invoker.FetchComp(1, "p").ok());
+  ASSERT_GT(invoker.stats().served_from_cache, 0);
+  ASSERT_EQ(invoker.ResyncWhere([](Key k) { return k == 1; }), 1);
+  const int64_t hits = invoker.stats().served_from_cache;
+  const int64_t executes = rig.service->executes();
+  for (int i = 0; i < 10; ++i) {
+    auto r = invoker.FetchComp(1, "p");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, "1:p:same");
+  }
+  EXPECT_GE(invoker.stats().served_from_cache - hits, 8);
+  EXPECT_LE(rig.service->executes() - executes, 1);
+}
+
+/// Answers Fetch with a fixed older copy while `lagging` is set, like a
+/// follower replica that has not yet applied the latest writes.
+class LaggingService : public DataService {
+ public:
+  explicit LaggingService(DataService* inner) : inner_(inner) {}
+
+  StatusOr<Fetched> Fetch(Key key) override {
+    if (lagging.load()) {
+      ++stale_fetches;
+      return stale;
+    }
+    return inner_->Fetch(key);
+  }
+  StatusOr<std::string> Execute(Key key, const std::string& params,
+                                const UserFn& fn) override {
+    return inner_->Execute(key, params, fn);
+  }
+  StatusOr<ItemStat> Stat(Key key) const override {
+    return inner_->Stat(key);
+  }
+  NodeId OwnerOf(Key key) const override { return inner_->OwnerOf(key); }
+
+  std::atomic<bool> lagging{false};
+  Fetched stale;
+  std::atomic<int> stale_fetches{0};
+
+ private:
+  DataService* inner_;
+};
+
+TEST(ParallelInvokerTest, ResyncRefusesAnOlderVersionThanServed) {
+  // After a re-sync, a refetch that reads a lagging replica must not
+  // serve a version older than the one the invoker already served.
+  ApiRig rig;
+  rig.Put(1, "older");
+  auto served = rig.store->Update(1, [](StoredItem& item) {
+    item.payload = "served";
+    item.size_bytes = 6;
+  });
+  ASSERT_TRUE(served.ok());
+  LaggingService service(rig.service.get());
+  service.stale = DataService::Fetched{"older", served->new_version - 1};
+  ParallelInvoker invoker(&service, Concat(), FastBuyOptions(1));
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(invoker.FetchComp(1, "p").ok());
+  ASSERT_GT(invoker.stats().served_from_cache, 0);
+
+  ASSERT_EQ(invoker.ResyncWhere([](Key k) { return k == 1; }), 1);
+  service.lagging.store(true);
+  const int64_t hits = invoker.stats().served_from_cache;
+  for (int i = 0; i < 10; ++i) {
+    auto r = invoker.FetchComp(1, "p");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, "1:p:served");  // computed next to the data instead
+  }
+  EXPECT_GT(service.stale_fetches.load(), 0) << "no refetch; test is vacuous";
+  EXPECT_EQ(invoker.stats().served_from_cache, hits);  // nothing cached
+
+  // Once the replica catches up, the same version is cacheable again.
+  service.lagging.store(false);
+  for (int i = 0; i < 10; ++i) {
+    auto r = invoker.FetchComp(1, "p");
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(*r, "1:p:served");
+  }
+  EXPECT_GT(invoker.stats().served_from_cache, hits);
 }
 
 TEST(ParallelInvokerTest, UnclaimedResultsAreBounded) {
